@@ -325,8 +325,11 @@ def _resolve_coords(args, default_from_form: str | None = None) -> tuple[str, ..
         return load_manifold(args.manifold, args.seed).coords
     if getattr(args, "coords", None):
         return tuple(name.strip() for name in args.coords.split(",") if name.strip())
-    if getattr(args, "dim", None):
-        return dsl.default_coords(args.dim)
+    dim = getattr(args, "dim", None)
+    if dim is not None:
+        if dim <= 0:
+            raise ConfigError("--dim must be a positive integer")
+        return dsl.default_coords(dim)
     raise ConfigError("need --dim, --coords, or --manifold to fix the coordinate space")
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-import numpy as np
 import sympy as sp
 
 from . import symexpr
@@ -28,6 +27,30 @@ if TYPE_CHECKING:
     from .manifold import Manifold
 
 _RANK_PROBES = 6
+_RANK_TOL = 1e-9
+
+
+def _rank(rows: list[list[Fraction | float]]) -> int:
+    """Rank by Gaussian elimination: exact when every entry is a Fraction,
+    else in floats with partial pivoting, pivots up to _RANK_TOL counting
+    as zero."""
+    exact = all(isinstance(v, Fraction) for row in rows for v in row)
+    m = [[v if exact else float(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0])):
+        if rank == len(m):
+            break
+        pivot = max(range(rank, len(m)), key=lambda i: abs(m[i][col]))
+        if abs(m[pivot][col]) <= (0 if exact else _RANK_TOL):
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        for i in range(rank + 1, len(m)):
+            factor = m[i][col] / top[col]
+            if factor:
+                m[i] = [a - factor * b for a, b in zip(m[i], top)]
+        rank += 1
+    return rank
 
 
 @dataclass(frozen=True)
@@ -105,10 +128,10 @@ class Pseudostructure:
         for _ in range(_RANK_PROBES):
             point = symexpr.probe_point(names, rng)
             try:
-                rows = [[float(symexpr.eval_at(entry, point)) for entry in row] for row in jac]
+                rows = [[symexpr.eval_at(entry, point) for entry in row] for row in jac]
             except EvaluationError:
                 continue
-            best = max(best, int(np.linalg.matrix_rank(np.array(rows), tol=1e-9)))
+            best = max(best, _rank(rows))
             if best >= self.parameter_dim:
                 return
         raise ImmersionError(

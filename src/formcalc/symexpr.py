@@ -8,13 +8,19 @@ questions reduce to a deterministic canonical form plus rational probing.
 
 from __future__ import annotations
 
+import operator
 import random
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Mapping, Union
 
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.fields import FracField
+from sympy.polys.orderings import lex
+from sympy.polys.polyutils import _sort_gens
+from sympy.polys.rings import PolyElement
 from sympy.printing import sstr
 
 from .errors import EvaluationError, UnsupportedExpressionError
@@ -68,7 +74,12 @@ def as_expr(value: ExprLike) -> Expr:
     return e
 
 
-@lru_cache(maxsize=16384)
+#: Entries kept by the memos of ``_validate`` and ``_canonical``.  Larger
+#: tables were no faster on the benchmark and cost resident memory.
+_MEMO_SIZE = 2048
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
 def _validate(e: sp.Basic) -> None:
     if isinstance(e, sp.Rational):  # Integer is a Rational
         return
@@ -113,20 +124,106 @@ def _pythagorean_collapse(e: Expr) -> Expr:
     return out
 
 
+def _rational_symbols(e: Expr) -> tuple[Expr, ...] | None:
+    """Generators of a function-free tree in cancel's order, or None when
+    ``e`` has a node outside rationals, symbols, sums, products and
+    integer powers."""
+    symbols = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if node.is_Symbol:
+            symbols.add(node)
+        elif node.is_Add or node.is_Mul:
+            stack.extend(node.args)
+        elif node.is_Pow and node.exp.is_Integer:
+            stack.append(node.base)
+        elif not node.is_Rational:
+            return None
+    return tuple(_sort_gens(symbols))
+
+
+@lru_cache(maxsize=256)
+def _field(gens: tuple[Expr, ...]) -> tuple[FracField, dict]:
+    field = FracField(gens, QQ, lex)
+    return field, dict(zip(gens, field.ring.gens))
+
+
+def _combine(parts: list, op):
+    # polynomial parts in the ring (no gcd), then the fractions in the field
+    polys = [p for p in parts if isinstance(p, PolyElement)]
+    fracs = [p for p in parts if not isinstance(p, PolyElement)]
+    acc = reduce(op, polys) if polys else fracs.pop()
+    for f in fracs:
+        acc = op(f, acc)
+    return acc
+
+
+def _to_field(e: Expr, field: FracField, gens: dict):
+    """``e`` as a ring element when it is a polynomial, else a field element."""
+    if e.is_Symbol:
+        return gens[e]
+    if e.is_Rational:
+        return field.ring.ground_new(QQ(int(e.p), int(e.q)))
+    if e.is_Add:
+        return _combine([_to_field(a, field, gens) for a in e.args], operator.add)
+    if e.is_Mul:
+        return _combine([_to_field(a, field, gens) for a in e.args], operator.mul)
+    base, n = _to_field(e.base, field, gens), int(e.exp)
+    if n < 0 and isinstance(base, PolyElement):
+        base = field.field_new(base)
+    return base**n
+
+
+def _cancel_rational(e: Expr, gens: tuple[Expr, ...]) -> Expr:
+    """``sp.cancel(e)`` computed in the sparse field QQ(gens).
+
+    Numerator and denominator are coprime integer polynomials; with the
+    generators in cancel's order and the denominator's leading coefficient
+    positive they are the ones cancel returns, so the tree is the same.
+    """
+    field, table = _field(gens)
+    value = _to_field(e, field, table)
+    if isinstance(value, PolyElement):
+        common, numer = value.clear_denoms()
+        denom = field.ring.ground_new(common)
+    else:
+        numer, denom = value.numer, value.denom
+    if denom.LC < 0:  # a negative power at the root skips the field's sign rule
+        numer, denom = -numer, -denom
+    return numer.as_expr() / denom.as_expr()
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _canonical(e: Expr) -> Expr:
+    # Within one computation the same coefficient is canonicalised many
+    # times: every Form construction re-canonicalises canonical coefficients.
+    if e.is_Number:
+        return e
+    gens = _rational_symbols(e)
+    if gens is not None:
+        try:
+            return _cancel_rational(e, gens)
+        except ZeroDivisionError:
+            pass  # a denominator that expands to zero: cancel gives zoo
+    base = sp.cancel(e)
+    if not base.atoms(sp.sin):
+        return base
+    collapsed = sp.cancel(_pythagorean_collapse(base))
+    return min((base, collapsed), key=lambda c: (sp.count_ops(c), sp.default_sort_key(c)))
+
+
 def simplify_expr(e: ExprLike) -> Expr:
     """Deterministic canonical form.
 
-    Pipeline: sympy's automatic flatten/sort of commutative operands and
-    constant folding, rational-function cancellation, and a Pythagorean
-    rewrite candidate (kept only when it shortens the expression).  The
-    same mathematical tree always lands on the same canonical tree.
+    Function-free trees are rational functions: they are put over a common
+    denominator in the sparse field QQ(x...), which gives exactly the tree
+    ``sp.cancel`` would.  Trees with sin, cos, exp, log or E go through
+    ``sp.cancel`` and a Pythagorean rewrite candidate (kept only when it
+    shortens the expression).  The same mathematical tree always lands on
+    the same canonical tree; results are memoized.
     """
-    e = sp.sympify(e, rational=True)
-    base = sp.cancel(e)
-    candidates = [base]
-    if base.atoms(sp.sin):
-        candidates.append(sp.cancel(_pythagorean_collapse(base)))
-    return min(candidates, key=lambda c: (sp.count_ops(c), sp.default_sort_key(c)))
+    return _canonical(sp.sympify(e, rational=True))
 
 
 def differentiate(e: ExprLike, v: str) -> Expr:
@@ -142,10 +239,6 @@ def substitute(e: ExprLike, bindings: Mapping[str, ExprLike]) -> Expr:
     for name, value in bindings.items():
         table[sp.Symbol(name)] = validate_expr(sp.sympify(value, rational=True))
     return simplify_expr(e.xreplace(table))
-
-
-def _is_rational_tree(e: Expr) -> bool:
-    return not e.atoms(sp.Function) and not e.has(sp.E)
 
 
 def eval_at(e: ExprLike, point: Mapping[str, object]) -> Union[Fraction, float]:
@@ -218,7 +311,7 @@ def is_zero(e: ExprLike, *, seed: int | None = None, points: int = PROBE_POINTS)
         elif abs(val) > _FLOAT_NOISE_TOL:
             # ambiguous magnitude: count the probe but do not call it nonzero
             continue
-    if _is_rational_tree(s):
+    if _rational_symbols(s) is not None:
         # canonical form is a nonzero rational function, hence a nonzero
         # function of its variables: the probes were simply unlucky
         return ZeroStatus.NONZERO
@@ -229,6 +322,3 @@ def expr_text(e: ExprLike) -> str:
     """Canonical text of an expression in the DSL grammar (``^`` for powers)."""
     return sstr(sp.sympify(e, rational=True)).replace("**", "^")
 
-
-def free_variables(e: ExprLike) -> tuple[str, ...]:
-    return tuple(sorted(s.name for s in sp.sympify(e).free_symbols))

@@ -238,6 +238,20 @@ def test_unknown_coordinate_exit_code():
     assert code == 2
 
 
+def test_zero_dim_is_usage_error():
+    code, record = run(["d", "--form", "(1)", "--dim", "0"])
+    check(record)
+    assert code == 2
+    assert record["result"]["error"] == "--dim must be a positive integer"
+
+
+def test_negative_dim_is_usage_error():
+    code, record = run(["star", "--form", "(1)", "--dim", "-1"])
+    check(record)
+    assert code == 2
+    assert record["result"]["error"] == "--dim must be a positive integer"
+
+
 def test_usage_error_exit_code():
     code, record = run(["no-such-command"])
     assert code == 2

@@ -159,6 +159,37 @@ def test_rank_deficient_map_rejected():
         )
 
 
+def test_rank_deficient_everywhere_rejected_with_rank_in_message():
+    # columns stay equal at every point: the rank is 1 on the exact path
+    with pytest.raises(ImmersionError) as err:
+        Pseudostructure.build(
+            ["t1", "t2"],
+            [("x", as_expr("t1 + t2")), ("y", as_expr("(t1 + t2)^2 / 3")), ("z", as_expr("1"))],
+        )
+    assert str(err.value) == "map Jacobian has generic rank 1 < 2; not an immersion"
+
+
+def test_transcendental_immersion_passes_on_float_path():
+    sphere_patch = Pseudostructure.build(
+        ["u", "v"],
+        [
+            ("x", as_expr("cos(u) * cos(v)")),
+            ("y", as_expr("cos(u) * sin(v)")),
+            ("z", as_expr("sin(u)")),
+        ],
+    )
+    assert sphere_patch.parameter_dim == 2
+
+
+def test_transcendental_rank_deficient_map_rejected_on_float_path():
+    with pytest.raises(ImmersionError) as err:
+        Pseudostructure.build(
+            ["u", "v"],
+            [("x", as_expr("cos(u + v)")), ("y", as_expr("sin(u + v)"))],
+        )
+    assert str(err.value) == "map Jacobian has generic rank 1 < 2; not an immersion"
+
+
 def test_stray_symbols_rejected_without_declaration():
     with pytest.raises(ImmersionError):
         Pseudostructure.build(["t"], [("x", as_expr("t")), ("y", as_expr("c0"))])

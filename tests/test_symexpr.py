@@ -13,6 +13,7 @@ from formcalc import (
     as_expr,
     differentiate,
     eval_at,
+    expr_text,
     is_zero,
     simplify_expr,
     substitute,
@@ -156,6 +157,60 @@ def test_simplify_cancels_rational_functions():
 def test_simplify_keeps_harmless_sines():
     e = sp.sin(x) ** 2
     assert simplify_expr(e) == e
+
+
+def test_simplify_hidden_zero_denominator_matches_cancel():
+    e = as_expr("1/(x*(x + 1) - x^2 - x)")
+    assert simplify_expr(e) == sp.cancel(e) == sp.zoo
+
+
+# Function-free trees over coordinates whose names sort differently as
+# strings and as numbered symbols (x2 < x10), mixed with plain names.
+CANCEL_NAMES = ("x1", "x2", "x3", "x9", "x10", "x11", "x12", "a", "y", "t1", "xi1", "b")
+
+rational_leaves = st.one_of(
+    st.sampled_from(CANCEL_NAMES).map(sp.Symbol),
+    st.builds(sp.Rational, st.integers(-9, 9), st.integers(1, 6)),
+)
+
+
+def _function_free_node(children):
+    sums = st.lists(children, min_size=2, max_size=4).map(lambda a: sp.Add(*a))
+    products = st.lists(children, min_size=2, max_size=3).map(lambda a: sp.Mul(*a))
+    powers = st.tuples(children, st.sampled_from([-2, -1, -1, 2, 3])).map(
+        lambda be: sp.Pow(be[0], be[1])
+    )
+    # a reciprocal at the root keeps a negative leading coefficient in the
+    # denominator unless the canonicaliser flips the sign
+    negated = st.tuples(children, children).map(lambda ab: sp.Pow(ab[0] - ab[1] ** 2, -1))
+    return st.one_of(sums, products, powers, negated)
+
+
+function_free_trees = st.recursive(rational_leaves, _function_free_node, max_leaves=12).filter(
+    lambda e: not e.has(sp.zoo, sp.nan)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(function_free_trees)
+def test_simplify_matches_cancel_on_function_free_trees(e):
+    expected = sp.cancel(e)
+    got = simplify_expr(e)
+    assert sp.srepr(got) == sp.srepr(expected)
+    assert expr_text(got) == expr_text(expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(function_free_trees)
+def test_simplify_is_idempotent(e):
+    once = simplify_expr(e)
+    assert sp.srepr(simplify_expr(once)) == sp.srepr(once)
+
+
+@pytest.mark.parametrize("text", ["1/(x10 - x2) + x2/(x2*x10 - 1)", "1/(1 - x)", "y/(2 - x10*a)^3"])
+def test_simplify_matches_cancel_on_sign_and_order_cases(text):
+    e = sp.sympify(text, rational=True, convert_xor=True)
+    assert sp.srepr(simplify_expr(e)) == sp.srepr(sp.cancel(e))
 
 
 def test_rational_constants_are_reduced():
