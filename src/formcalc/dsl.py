@@ -26,6 +26,10 @@ from .symexpr import Expr
 
 _FUNCTIONS = {"sin": sp.sin, "cos": sp.cos, "exp": sp.exp, "log": sp.log}
 
+#: Deepest nesting of parentheses, calls, unary minus and ``^`` chains
+#: that an expression may have; deeper input is a ParseError.
+MAX_NESTING = 100
+
 
 @dataclass(frozen=True)
 class Token:
@@ -80,6 +84,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     @property
     def current(self) -> Token:
@@ -118,10 +123,19 @@ class _Parser:
         return node
 
     def unary(self) -> Expr:
-        if self.at_op("-"):
-            self.advance()
-            return -self.unary()
-        return self.power()
+        # every nesting (parentheses, call, unary minus, exponent) recurses
+        # through here, so one counter bounds the recursion depth
+        if self.depth > MAX_NESTING:
+            tok = self.current
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", tok.line, tok.column)
+        self.depth += 1
+        try:
+            if self.at_op("-"):
+                self.advance()
+                return -self.unary()
+            return self.power()
+        finally:
+            self.depth -= 1
 
     def power(self) -> Expr:
         base = self.atom()
@@ -255,14 +269,6 @@ def parse_form(text: str, coords: Sequence[str]) -> Form:
         return Form.zero(tuple(coords), 0)
     form = parser.form(coords)
     return form
-
-
-def print_expr(e: symexpr.ExprLike) -> str:
-    return symexpr.expr_text(e)
-
-
-def print_form(f: Form) -> str:
-    return str(f)
 
 
 def default_coords(n: int) -> tuple[str, ...]:

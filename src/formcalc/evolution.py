@@ -20,16 +20,24 @@ import sympy as sp
 
 from . import symexpr
 from .errors import ClosureError, DimensionError, HomotopyError
-from .forms import ClosureStatus, Form, d_flat
-from .manifold import CommutatorReport, Manifold, torsion_term
+from .forms import ClosureStatus, Form, closure_status, d_flat
+from .manifold import CommutatorReport, Manifold, commutator_report
 from .pseudostructure import Pseudostructure, pullback
-from .symexpr import Expr, ZeroStatus
+from .symexpr import Expr
 
 
 class RelationVerdict(Enum):
     IDENTICAL = "identical"
     NONIDENTICAL = "nonidentical"
     UNDETERMINED = "undetermined"
+
+
+#: Relation verdict of the zero-test fold over the total commutator.
+_VERDICT_OF_CLOSURE = {
+    ClosureStatus.CLOSED: RelationVerdict.IDENTICAL,
+    ClosureStatus.NOT_CLOSED: RelationVerdict.NONIDENTICAL,
+    ClosureStatus.UNDETERMINED: RelationVerdict.UNDETERMINED,
+}
 
 
 @dataclass(frozen=True)
@@ -118,26 +126,13 @@ class IdenticalRelation:
         return source.terms.get((), sp.Integer(0))
 
 
-def _commutator_report(omega: Form, manifold: Manifold | None) -> CommutatorReport:
-    coefficient_term = d_flat(omega)
-    if manifold is not None and manifold.connection is not None and omega.degree >= 1:
-        metric_term = torsion_term(manifold, omega)
-    else:
-        metric_term = Form.zero(omega.coords, omega.degree + 1)
-    return CommutatorReport(
-        total=coefficient_term + metric_term,
-        coefficient_term=coefficient_term,
-        metric_term=metric_term,
-    )
-
-
 def build_relation(b: BalanceSystem) -> EvolutionaryRelation:
     """Convolute the balance equations into d psi = omega, omega = sum A_mu dxi^mu."""
     omega = Form(b.coords, 1, {(mu,): a for mu, a in enumerate(b.action)})
     return EvolutionaryRelation(
         psi=b.psi,
         omega=omega,
-        commutator=_commutator_report(omega, b.manifold),
+        commutator=commutator_report(omega, b.manifold),
         manifold=b.manifold,
     )
 
@@ -145,26 +140,13 @@ def build_relation(b: BalanceSystem) -> EvolutionaryRelation:
 def relation_from_form(psi: str, omega: Form, manifold: Manifold | None = None) -> EvolutionaryRelation:
     """Relation container for a directly supplied form of any degree
     (degree 0 through 3 in the intended classification range)."""
-    if manifold is not None and manifold.coords != omega.coords:
-        raise DimensionError(
-            f"manifold coordinates {manifold.coords} do not match form "
-            f"coordinates {omega.coords}"
-        )
-    return EvolutionaryRelation(psi, omega, _commutator_report(omega, manifold), manifold)
+    return EvolutionaryRelation(psi, omega, commutator_report(omega, manifold), manifold)
 
 
 def nonidentity_check(r: EvolutionaryRelation, *, seed: int | None = None) -> RelationVerdict:
     """Identical iff every commutator component is exactly zero; any
     provably nonzero component makes the relation nonidentical."""
-    residual = r.commutator.total
-    if not residual.terms:
-        return RelationVerdict.IDENTICAL
-    verdicts = [symexpr.is_zero(c, seed=seed) for c in residual.terms.values()]
-    if any(v is ZeroStatus.NONZERO for v in verdicts):
-        return RelationVerdict.NONIDENTICAL
-    if all(v is ZeroStatus.ZERO for v in verdicts):
-        return RelationVerdict.IDENTICAL
-    return RelationVerdict.UNDETERMINED
+    return _VERDICT_OF_CLOSURE[closure_status(r.commutator.total, seed=seed)]
 
 
 def commutator_decomposition(r: EvolutionaryRelation) -> tuple[Form, Form]:

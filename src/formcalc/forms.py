@@ -256,14 +256,17 @@ def d_flat(a: Form) -> Form:
     return Form(a.coords, a.degree + 1, acc)
 
 
-def is_closed_flat(a: Form, *, seed: int | None = None) -> ClosureStatus:
-    """Closure test: apply the zero test to every coefficient of d(a)."""
-    differential = d_flat(a)
-    if not differential.terms:
-        return ClosureStatus.CLOSED
+def closure_status(differential: Form, *, seed: int | None = None) -> ClosureStatus:
+    """Fold the zero tests of an already computed differential's
+    coefficients: any NONZERO means not closed, all ZERO means closed."""
     verdicts = [symexpr.is_zero(c, seed=seed) for c in differential.terms.values()]
     if any(v is ZeroStatus.NONZERO for v in verdicts):
         return ClosureStatus.NOT_CLOSED
     if all(v is ZeroStatus.ZERO for v in verdicts):
         return ClosureStatus.CLOSED
     return ClosureStatus.UNDETERMINED
+
+
+def is_closed_flat(a: Form, *, seed: int | None = None) -> ClosureStatus:
+    """Closure test: apply the zero test to every coefficient of d(a)."""
+    return closure_status(d_flat(a), seed=seed)

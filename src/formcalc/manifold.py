@@ -106,10 +106,6 @@ class Manifold:
         return len(self.coords)
 
 
-def flat(coords: Sequence[str]) -> Manifold:
-    return Manifold(tuple(coords))
-
-
 @dataclass(frozen=True)
 class CommutatorReport:
     """Two-term commutator of a form on a manifold.
@@ -163,6 +159,20 @@ def _check_form_on(m: Manifold, theta: Form) -> None:
         )
 
 
+def commutator_report(theta: Form, m: Manifold | None = None) -> CommutatorReport:
+    """Two-term commutator of a form of any degree: the flat differential
+    plus, on a manifold with a connection, the torsion term."""
+    if m is not None:
+        _check_form_on(m, theta)
+    coefficient_term = d_flat(theta)
+    metric_term = Form.zero(theta.coords, theta.degree + 1) if m is None else _torsion_term(m, theta)
+    return CommutatorReport(
+        total=coefficient_term + metric_term,
+        coefficient_term=coefficient_term,
+        metric_term=metric_term,
+    )
+
+
 def commutator(m: Manifold, theta: Form) -> CommutatorReport:
     """Commutator of a first-degree form, split into its two terms.
 
@@ -170,16 +180,9 @@ def commutator(m: Manifold, theta: Form) -> CommutatorReport:
         (da_beta/dx^alpha - da_alpha/dx^beta)
         + (gamma^s_{beta alpha} - gamma^s_{alpha beta}) a_s
     """
-    _check_form_on(m, theta)
     if theta.degree != 1:
         raise DimensionError(f"commutator expects a degree-1 form, got degree {theta.degree}")
-    coefficient_term = d_flat(theta)
-    metric_term = _torsion_term(m, theta)
-    return CommutatorReport(
-        total=coefficient_term + metric_term,
-        coefficient_term=coefficient_term,
-        metric_term=metric_term,
-    )
+    return commutator_report(theta, m)
 
 
 def _torsion_term(m: Manifold, theta: Form) -> Form:
@@ -222,12 +225,6 @@ def _torsion_term(m: Manifold, theta: Form) -> Form:
     return Form(m.coords, p + 1, acc)
 
 
-def torsion_term(m: Manifold, theta: Form) -> Form:
-    """Public wrapper for the basis-variation contribution."""
-    _check_form_on(m, theta)
-    return _torsion_term(m, theta)
-
-
 def d_evolutionary(m: Manifold, theta: Form) -> Form:
     """Differential of a form on a (possibly deforming) manifold.
 
@@ -235,5 +232,4 @@ def d_evolutionary(m: Manifold, theta: Form) -> Form:
     the changing basis; reduces to d_flat for degree 0 and on manifolds
     without torsion, and to the degree-1 commutator total.
     """
-    _check_form_on(m, theta)
-    return d_flat(theta) + _torsion_term(m, theta)
+    return commutator_report(theta, m).total

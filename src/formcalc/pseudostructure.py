@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import sympy as sp
 
@@ -198,21 +198,6 @@ def defines_pseudostructure(m: "Manifold", pi: Pseudostructure, theta: Form, *, 
         primal=is_closed_on(pi, theta, seed=seed),
         dual=is_closed_on(pi, star(m, theta), seed=seed),
     )
-
-
-def closure_batch(
-    items: Sequence[tuple[Pseudostructure, Form]],
-    *,
-    seed: int | None = None,
-    worker: Callable[..., ClosureStatus] | None = None,
-) -> list[ClosureStatus]:
-    """Evaluate many independent (pseudostructure, form) closure checks.
-
-    Pairs are independent pure computations; this sequential map is the
-    safe default and the unit callers can parallelize externally.
-    """
-    check = worker or is_closed_on
-    return [check(pi, theta, seed=seed) for pi, theta in items]
 
 
 def jacobian_determinant(exprs: Sequence[symexpr.ExprLike], variables: Sequence[str]) -> Expr:

@@ -53,10 +53,6 @@ class ZeroStatus(Enum):
     PROBABLY_NONZERO = "probably-nonzero"
 
 
-def variable(name: str) -> Expr:
-    return sp.Symbol(name)
-
-
 def as_expr(value: ExprLike) -> Expr:
     """Coerce strings/ints/Fractions into a validated expression.
 

@@ -39,7 +39,7 @@ from formcalc import (
     wedge,
 )
 from formcalc.cli import main, run
-from formcalc.dsl import default_coords, parse_form, print_form
+from formcalc.dsl import default_coords, parse_form
 from formcalc.manifold import Connection
 
 
@@ -267,7 +267,7 @@ def test_criterion_10_cli_contract(capsys, tmp_path):
     for text, n in CORPUS:
         coords = default_coords(n)
         form = parse_form(text, coords)
-        assert parse_form(print_form(form), coords) == form
+        assert parse_form(str(form), coords) == form
 
     # exit-code semantics
     balance = tmp_path / "balance.json"

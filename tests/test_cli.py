@@ -3,7 +3,7 @@ import json
 import jsonschema
 import pytest
 
-from formcalc.cli import REPORT_SCHEMA, main, run
+from formcalc.cli import REPORT_SCHEMA, _build_parser, main, run
 
 
 def write_json(path, payload):
@@ -268,6 +268,72 @@ def test_classify_out_of_range_is_usage_error():
     code, record = run(["classify", "-p", "1", "-k", "2", "-N", "4"])
     check(record)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["d", "--help"]])
+def test_help_record_is_schema_valid(argv, capsys):
+    code, record = run(argv)
+    check(record)
+    assert (code, record["status"], record["command"]) == (0, "ok", "")
+
+
+def test_main_help_prints_help_text_and_no_record(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out == _build_parser().format_help()
+    assert '"command"' not in out
+
+
+@pytest.mark.parametrize("form", [
+    "(" * 3000 + "x1" + ")" * 3000 + " dx2",
+    "(" + "-" * 5000 + "x1) dx2",
+])
+def test_deep_nesting_is_a_usage_error(form):
+    code, record = run(["d", "--form", form, "--dim", "2"])
+    check(record)
+    assert (code, record["status"]) == (2, "error")
+    assert "nested deeper than 100 levels" in record["result"]["error"]
+
+
+@pytest.mark.parametrize("coefficient", [
+    "(" * 100 + "x1" + ")" * 100,
+    # cos rather than sin: a sine tree also gets the Pythagorean rewrite,
+    # which is slow on a 100-deep nest
+    "cos(" * 100 + "x1" + ")" * 100,
+    "^".join(["1"] * 101),
+])
+def test_nesting_at_the_limit_computes(coefficient):
+    code, record = run(["d", "--form", f"({coefficient}) dx1", "--dim", "2"])
+    check(record)
+    assert code == 0
+
+
+def test_inline_and_referenced_manifold_give_the_same_relation(tmp_path):
+    table = {"coords": ["xi1", "xi2"],
+             "gamma": [[["0", "0"], ["1", "0"]], [["xi2", "0"], ["0", "0"]]]}
+    write_json(tmp_path / "m.json", table)
+    balance = {"coords": ["xi1", "xi2"], "A": ["xi1*xi2", "xi2^2"]}
+    inline = write_json(tmp_path / "inline.json", {**balance, "manifold": table})
+    referenced = write_json(tmp_path / "referenced.json", {**balance, "manifold": "m.json"})
+    code, record = run(["relation", "--balance", inline])
+    other_code, other = run(["relation", "--balance", referenced])
+    check(record)
+    assert code == other_code == 0
+    assert record["result"] == other["result"]
+    assert {**record["inputs"], "balance": ""} == {**other["inputs"], "balance": ""}
+    assert record["result"]["deformation_term"]["terms"]  # the connection was read
+
+
+def test_inline_manifold_coords_must_match_balance(tmp_path):
+    path = write_json(tmp_path / "b.json", {
+        "coords": ["xi1", "xi2"],
+        "A": ["xi2", "xi1"],
+        "manifold": {"coords": ["y1", "y2"]},
+    })
+    code, record = run(["relation", "--balance", path])
+    check(record)
+    assert code == 2
+    assert record["result"]["error"] == f"{path}: inline manifold coords differ from balance coords"
 
 
 # -- determinism ---------------------------------------------------------------------

@@ -2,13 +2,8 @@ import pytest
 import sympy as sp
 
 from formcalc import Form, ParseError
-from formcalc.dsl import (
-    default_coords,
-    parse_expr,
-    parse_form,
-    print_expr,
-    print_form,
-)
+from formcalc.dsl import MAX_NESTING, default_coords, parse_expr, parse_form
+from formcalc.symexpr import expr_text
 
 C2 = ("x1", "x2")
 
@@ -77,7 +72,7 @@ def test_expr_round_trip():
     ]
     for text in cases:
         e = parse_expr(text)
-        assert parse_expr(print_expr(e)) == e
+        assert parse_expr(expr_text(e)) == e
 
 
 # -- forms -----------------------------------------------------------------------
@@ -125,18 +120,18 @@ def test_parse_bare_identifier_is_not_a_form():
 
 def test_form_round_trip_with_loose_whitespace():
     f = parse_form("( -x2 ) dx1 + ( x1 ) dx2", C2)
-    assert print_form(f) == "(-x2) dx1 + (x1) dx2"
-    assert parse_form(print_form(f), C2) == f
+    assert str(f) == "(-x2) dx1 + (x1) dx2"
+    assert parse_form(str(f), C2) == f
 
 
 def test_zero_form_round_trip_keeps_degree():
     zero2 = parse_form("dx1^dx1", C2)
     assert zero2.degree == 2 and zero2.is_zero_form()
-    assert print_form(zero2) == "(0) dx1^dx2"
-    assert parse_form(print_form(zero2), C2) == zero2
+    assert str(zero2) == "(0) dx1^dx2"
+    assert parse_form(str(zero2), C2) == zero2
     zero0 = parse_form("0", C2)
     assert zero0 == Form.zero(C2, 0)
-    assert parse_form(print_form(zero0), C2) == zero0
+    assert parse_form(str(zero0), C2) == zero0
 
 
 def test_form_round_trip_cases():
@@ -154,8 +149,19 @@ def test_form_round_trip_cases():
     ]
     for text, coords in cases:
         f = parse_form(text, coords)
-        assert parse_form(print_form(f), coords) == f
+        assert parse_form(str(f), coords) == f
 
 
 def test_default_coords():
     assert default_coords(3) == ("x1", "x2", "x3")
+
+
+def test_nesting_limit_is_a_positioned_parse_error():
+    x = sp.Symbol("x")
+    assert MAX_NESTING == 100
+    assert parse_expr("(" * 100 + "x" + ")" * 100) == x
+    assert parse_expr("-" * 100 + "x") == x
+    with pytest.raises(ParseError, match=r"nested deeper than 100 levels \(line 1, column 102\)"):
+        parse_expr("(" * 101 + "x" + ")" * 101)
+    with pytest.raises(ParseError, match="nested deeper than 100 levels"):
+        parse_expr("-" * 101 + "x")

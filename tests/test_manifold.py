@@ -15,7 +15,7 @@ from formcalc import (
     is_deforming,
     torsion_commutator,
 )
-from formcalc.manifold import flat, torsion_term
+from formcalc.manifold import commutator_report
 
 C2 = ("x1", "x2")
 C3 = ("x1", "x2", "x3")
@@ -51,7 +51,7 @@ def test_zero_connection_torsion():
 
 def test_torsion_requires_connection():
     with pytest.raises(DimensionError):
-        torsion_commutator(flat(C2))
+        torsion_commutator(Manifold(C2))
 
 
 def test_torsion_antisymmetry_random(rng):
@@ -68,7 +68,7 @@ def test_torsion_antisymmetry_random(rng):
 
 
 def test_commutator_flat_rotation_form():
-    m = flat(C2)
+    m = Manifold(C2)
     theta = Form(C2, 1, {(0,): "-x2", (1,): "x1"})
     report = commutator(m, theta)
     assert report.coefficient_term == Form(C2, 2, {(0, 1): 2})
@@ -85,14 +85,14 @@ def test_commutator_metric_term_only():
 
 
 def test_commutator_of_exact_form_vanishes_on_flat():
-    m = flat(C2)
+    m = Manifold(C2)
     theta = d_flat(Form.scalar(C2, "x1^2*x2 - x2"))
     assert commutator(m, theta).total.is_zero_form()
 
 
 def test_commutator_requires_degree_one():
     with pytest.raises(DimensionError):
-        commutator(flat(C2), Form.basis(C2, (0, 1)))
+        commutator(Manifold(C2), Form.basis(C2, (0, 1)))
 
 
 def test_commutator_report_additivity(rng):
@@ -127,7 +127,7 @@ def test_commutator_oracle_random(rng):
 
 
 def test_d_evolutionary_without_connection_is_flat(rng):
-    m = flat(C3)
+    m = Manifold(C3)
     for _ in range(25):
         theta = rand_form(rng, C3, rng.randint(0, 2))
         assert d_evolutionary(m, theta) == d_flat(theta)
@@ -168,7 +168,7 @@ def test_torsion_term_degree_two_slot_rule():
     # (k=0, slot=0): gamma^1_{2 1} * omega_{1 3} giving c dx1^dx2^dx3
     m = Manifold(C3, connection=Connection.single(3, 0, 1, 0, "c"))
     omega = Form.basis(C3, (0, 2))
-    assert torsion_term(m, omega) == Form(C3, 3, {(0, 1, 2): "c"})
+    assert d_evolutionary(m, omega) - d_flat(omega) == Form(C3, 3, {(0, 1, 2): "c"})
 
 
 def test_evolutionary_differential_is_not_nilpotent_on_deforming_manifold():
@@ -184,7 +184,7 @@ def test_evolutionary_differential_is_not_nilpotent_on_deforming_manifold():
 
 def test_is_deforming_zero_connection():
     assert not is_deforming(Manifold(C2, connection=Connection.zero(2)))
-    assert not is_deforming(flat(C2))
+    assert not is_deforming(Manifold(C2))
 
 
 def test_is_deforming_levi_civita_style():
@@ -206,3 +206,14 @@ def test_manifold_shape_validation():
         Manifold(C3, connection=Connection.zero(2))
     with pytest.raises(DimensionError):
         Manifold(("x1", "x1"))
+
+
+def test_commutator_report_any_degree():
+    m = Manifold(C3, connection=Connection.single(3, 0, 1, 0, "c"))
+    omega = Form.basis(C3, (0, 2))
+    report = commutator_report(omega, m)
+    assert report.total == d_evolutionary(m, omega)
+    assert report.metric_term == Form(C3, 3, {(0, 1, 2): "c"})
+    flat = commutator_report(omega)
+    assert flat.total == flat.coefficient_term == d_flat(omega)
+    assert flat.metric_term == Form.zero(C3, 3)

@@ -24,7 +24,6 @@ from formcalc import (
     pullback,
 )
 from formcalc.forms import d_flat, scale, wedge
-from formcalc.pseudostructure import closure_batch
 
 XY = ("x", "y")
 
@@ -140,12 +139,6 @@ def test_defines_pseudostructure_checks_both_conditions():
     assert check.primal is ClosureStatus.CLOSED
     assert check.dual is ClosureStatus.CLOSED
     assert check.satisfied
-
-
-def test_closure_batch_matches_single_calls():
-    omega = Form(XY, 1, {(0,): "y"})
-    items = [(line_curve(0), omega), (line_curve(1), omega), (circle(), omega)]
-    assert closure_batch(items) == [is_closed_on(pi, w) for pi, w in items]
 
 
 # -- immersion validation ----------------------------------------------------------
