@@ -29,11 +29,9 @@ from .evolution import (
     RelationVerdict,
     attempt_degenerate_transformation,
     build_relation,
-    commutator_decomposition,
     nonidentity_check,
     poincare_antiderivative,
     relation_from_form,
-    selfvariation,
     sequential_integration,
 )
 from .forms import ClosureStatus, Form, add, d_flat, is_closed_flat, scale, wedge
@@ -50,11 +48,8 @@ from .manifold import (
 from .pseudostructure import (
     DegeneracyReport,
     Pseudostructure,
-    PseudostructureCheck,
     d_pi,
-    defines_pseudostructure,
     degenerate_locus,
-    is_closed_on,
     jacobian_determinant,
     poisson_bracket,
     pullback,
@@ -69,7 +64,6 @@ from .symexpr import (
     is_zero,
     simplify_expr,
     substitute,
-    validate_expr,
 )
 
 __version__ = "0.1.0"
@@ -98,7 +92,6 @@ __all__ = [
     "MetricError",
     "ParseError",
     "Pseudostructure",
-    "PseudostructureCheck",
     "RelationVerdict",
     "StructureClass",
     "UnsupportedExpressionError",
@@ -109,11 +102,9 @@ __all__ = [
     "build_relation",
     "classify",
     "commutator",
-    "commutator_decomposition",
     "d_evolutionary",
     "d_flat",
     "d_pi",
-    "defines_pseudostructure",
     "degenerate_locus",
     "delta",
     "differentiate",
@@ -121,7 +112,6 @@ __all__ = [
     "eval_at",
     "expr_text",
     "is_closed_flat",
-    "is_closed_on",
     "is_deforming",
     "is_zero",
     "jacobian_determinant",
@@ -133,12 +123,10 @@ __all__ = [
     "pullback",
     "relation_from_form",
     "scale",
-    "selfvariation",
     "sequential_integration",
     "simplify_expr",
     "star",
     "substitute",
     "torsion_commutator",
-    "validate_expr",
     "wedge",
 ]

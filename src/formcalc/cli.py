@@ -25,7 +25,6 @@ from .evolution import (
     BalanceSystem,
     attempt_degenerate_transformation,
     build_relation,
-    commutator_decomposition,
     nonidentity_check,
     sequential_integration,
 )
@@ -35,7 +34,6 @@ from .manifold import Connection, Manifold, commutator, d_evolutionary, is_defor
 from .pseudostructure import (
     Pseudostructure,
     d_pi,
-    defines_pseudostructure,
     degenerate_locus,
     jacobian_determinant,
     poisson_bracket,
@@ -316,10 +314,11 @@ def _dpi(args):
     if not args.manifold:
         raise ConfigError("--dual needs --manifold with a metric")
     m = load_manifold(args.manifold, args.seed)
-    check = defines_pseudostructure(m, pi, a, seed=args.seed)
-    result["dual_closed"] = check.dual.value
-    result["defines_pseudostructure"] = check.satisfied
-    return inputs, result, EXIT_OK if check.satisfied else EXIT_NEGATIVE
+    dual = closure_status(d_pi(pi, star(m, a)), seed=args.seed)
+    satisfied = status is ClosureStatus.CLOSED and dual is ClosureStatus.CLOSED
+    result["dual_closed"] = dual.value
+    result["defines_pseudostructure"] = satisfied
+    return inputs, result, EXIT_OK if satisfied else EXIT_NEGATIVE
 
 
 def _jacobian(args):
@@ -364,15 +363,14 @@ def _locus(args):
 def _relation(args):
     balance = load_balance(args.balance, args.seed)
     relation = build_relation(balance)
-    quantum, deformation = commutator_decomposition(relation)
     inputs = {"balance": args.balance, "A": [symexpr.expr_text(a) for a in balance.action],
               "coords": list(balance.coords), "psi": balance.psi}
     result = {
         "omega": _form_record(relation.omega),
         "verdict": nonidentity_check(relation, seed=args.seed).value,
         "commutator": _commutator_record(relation.commutator),
-        "quantum_term": _form_record(quantum),
-        "deformation_term": _form_record(deformation),
+        "quantum_term": _form_record(relation.commutator.coefficient_term),
+        "deformation_term": _form_record(relation.commutator.metric_term),
     }
     return inputs, result, EXIT_OK
 
@@ -483,9 +481,11 @@ COMMANDS: dict[str, tuple[str, dict, Callable]] = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # no abbreviated flags: ``main`` reads --json and --verbose by their full names
     parser = argparse.ArgumentParser(
         prog="formcalc",
         description="exterior and evolutionary skew-symmetric form calculator",
+        allow_abbrev=False,
     )
     parser.add_argument("--seed", type=int, default=symexpr.DEFAULT_PROBE_SEED,
                         help="seed for probe-point randomness (pins output bytes)")
@@ -500,7 +500,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
     common.add_argument("--verbose", action="store_true", default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=(
-        lambda **kw: argparse.ArgumentParser(parents=[common], **kw)
+        lambda **kw: argparse.ArgumentParser(parents=[common], allow_abbrev=False, **kw)
     ))
     for name, (help_, arguments, handler) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)

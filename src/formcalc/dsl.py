@@ -14,6 +14,7 @@ basis is a degree-0 form.  Printing and parsing round-trip canonically.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -153,7 +154,13 @@ class _Parser:
         tok = self.current
         if tok.kind == "NUMBER":
             self.advance()
-            return sp.Integer(int(tok.text))
+            try:
+                return sp.Integer(int(tok.text))
+            except ValueError:  # Python's int <- str digit limit
+                raise ParseError(
+                    f"integer literal longer than {sys.get_int_max_str_digits()} digits",
+                    tok.line, tok.column,
+                ) from None
         if tok.kind == "IDENT":
             self.advance()
             if self.at_op("("):
@@ -254,7 +261,7 @@ def parse_expr(text: str) -> Expr:
     end = parser.current
     if end.kind != "END":
         raise ParseError(f"unexpected trailing input {end.text!r}", end.line, end.column)
-    return symexpr.simplify_expr(symexpr.validate_expr(node))
+    return symexpr.simplify_expr(node)
 
 
 def parse_form(text: str, coords: Sequence[str]) -> Form:

@@ -12,9 +12,9 @@ the construction integrates the relation down one degree per stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import sympy as sp
 
@@ -73,10 +73,7 @@ class BalanceSystem:
                 f"manifold coordinates {manifold.coords} do not match balance "
                 f"coordinates {coords}"
             )
-        exprs = tuple(
-            symexpr.simplify_expr(symexpr.validate_expr(sp.sympify(a, rational=True)))
-            for a in action
-        )
+        exprs = tuple(symexpr.simplify_expr(a) for a in action)
         return cls(coords, exprs, psi, manifold)
 
 
@@ -147,13 +144,6 @@ def nonidentity_check(r: EvolutionaryRelation, *, seed: int | None = None) -> Re
     """Identical iff every commutator component is exactly zero; any
     provably nonzero component makes the relation nonidentical."""
     return _VERDICT_OF_CLOSURE[closure_status(r.commutator.total, seed=seed)]
-
-
-def commutator_decomposition(r: EvolutionaryRelation) -> tuple[Form, Form]:
-    """(quantum_term, deformation_term): the coefficient part measures the
-    discrete change a conserved quantity undergoes between carriers, the
-    metric part the manifold deformation (spin-like characteristics)."""
-    return r.commutator.coefficient_term, r.commutator.metric_term
 
 
 def poincare_antiderivative(omega: Form) -> Form:
@@ -288,42 +278,3 @@ def sequential_integration(
             break
         current = relation_from_form(r.psi, theta, manifold=None)
     return IntegrationChain(tuple(stages))
-
-
-@dataclass(frozen=True)
-class SelfvariationStep:
-    step: int
-    balance: BalanceSystem
-    verdict: RelationVerdict
-    relation: EvolutionaryRelation
-
-
-def selfvariation(
-    b: BalanceSystem,
-    perturb: Callable[[BalanceSystem, int], Sequence[symexpr.ExprLike]],
-    steps: int,
-    *,
-    seed: int | None = None,
-) -> list[SelfvariationStep]:
-    """Iterate a user-supplied perturbation of the action coefficients.
-
-    The mutual variation itself has no autonomous law here; the hook lets
-    callers drive it and watch the commutator and verdict evolve, e.g.
-    until a degenerate transformation becomes possible.
-    """
-    history: list[SelfvariationStep] = []
-    current = b
-    for step in range(steps):
-        relation = build_relation(current)
-        history.append(SelfvariationStep(
-            step=step,
-            balance=current,
-            verdict=nonidentity_check(relation, seed=seed),
-            relation=relation,
-        ))
-        perturbed = perturb(current, step)
-        current = replace(current, action=tuple(
-            symexpr.simplify_expr(symexpr.validate_expr(sp.sympify(a, rational=True)))
-            for a in perturbed
-        ))
-    return history

@@ -32,6 +32,8 @@ def sort_index(indices: Sequence[int]) -> tuple[int, MultiIndex] | None:
 
     Returns (sign, sorted_tuple) where sign is the parity of the sorting
     permutation, or None when an index repeats (the term annihilates).
+    This is the one permutation-sign rule: wedge, d_flat, star and the DSL
+    all take their signs from it.
     """
     items = list(indices)
     if len(set(items)) != len(items):
@@ -45,21 +47,6 @@ def sort_index(indices: Sequence[int]) -> tuple[int, MultiIndex] | None:
             sign = -sign
             j -= 1
     return sign, tuple(items)
-
-
-def merge_indices(left: MultiIndex, right: MultiIndex) -> tuple[int, MultiIndex] | None:
-    """Concatenate two increasing index tuples, tracking the wedge sign.
-
-    None when they share an index.  The sign is (-1)**(number of pairs
-    i in left, j in right with j < i).
-    """
-    if set(left) & set(right):
-        return None
-    inversions = sum(1 for i in left for j in right if j < i)
-    merged = sort_index(left + right)
-    assert merged is not None
-    _, combined = merged
-    return (-1) ** inversions, combined
 
 
 class Form:
@@ -98,7 +85,7 @@ class Form:
                 raise DimensionError(f"index {idx} is not strictly increasing")
             if degree > n:
                 continue  # degree above dimension: zero form
-            expr = symexpr.simplify_expr(symexpr.validate_expr(sp.sympify(coeff, rational=True)))
+            expr = symexpr.simplify_expr(coeff)
             if expr == 0:
                 continue
             if idx in table:
@@ -212,7 +199,7 @@ def wedge(a: Form, b: Form) -> Form:
     acc: dict[MultiIndex, Expr] = {}
     for left, ca in a.terms.items():
         for right, cb in b.terms.items():
-            merged = merge_indices(left, right)
+            merged = sort_index(left + right)
             if merged is None:
                 continue
             sign, idx = merged
@@ -246,12 +233,7 @@ def d_flat(a: Form) -> Form:
             dc = symexpr.differentiate(coeff, name)
             if dc == 0:
                 continue
-            # moving dx_j from the front into sorted position flips the
-            # sign once per smaller index already present
-            sign = (-1) ** sum(1 for i in idx if i < j)
-            merged = sort_index((j,) + idx)
-            assert merged is not None
-            _, new_idx = merged
+            sign, new_idx = sort_index((j,) + idx)  # j is not in idx
             acc[new_idx] = acc.get(new_idx, sp.Integer(0)) + sp.Integer(sign) * dc
     return Form(a.coords, a.degree + 1, acc)
 

@@ -24,7 +24,7 @@ import sympy as sp
 
 from . import symexpr
 from .errors import DimensionError, MetricError
-from .forms import Form, d_flat, merge_indices
+from .forms import Form, d_flat, sort_index
 from .symexpr import Expr, ZeroStatus
 
 if TYPE_CHECKING:
@@ -48,10 +48,7 @@ class Metric:
         for i in range(n):
             if len(nested[i]) != n:
                 raise MetricError("metric table is not square")
-            rows.append(tuple(
-                symexpr.simplify_expr(symexpr.validate_expr(sp.sympify(v, rational=True)))
-                for v in nested[i]
-            ))
+            rows.append(tuple(symexpr.simplify_expr(v) for v in nested[i]))
         g = tuple(rows)
         if signature not in (EUCLIDEAN, LORENTZIAN):
             raise MetricError(f"unknown signature tag {signature!r}")
@@ -149,9 +146,7 @@ def star(m: "Manifold", theta: Form) -> Form:
     full = tuple(range(n))
     for idx, coeff in theta.terms.items():
         complement = tuple(i for i in full if i not in idx)
-        merged = merge_indices(idx, complement)
-        assert merged is not None
-        sign, _ = merged
+        sign, _ = sort_index(idx + complement)
         factor = Fraction(1)
         for i in idx:
             factor /= diag[i]

@@ -49,10 +49,7 @@ class Connection:
             for beta in range(n):
                 if len(nested[sigma][beta]) != n:
                     raise DimensionError("connection table is not n x n x n")
-                plane.append(tuple(
-                    symexpr.simplify_expr(symexpr.validate_expr(sp.sympify(v, rational=True)))
-                    for v in nested[sigma][beta]
-                ))
+                plane.append(tuple(symexpr.simplify_expr(v) for v in nested[sigma][beta]))
             rows.append(tuple(plane))
         return cls(tuple(rows))
 

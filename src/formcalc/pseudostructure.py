@@ -14,17 +14,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import sympy as sp
 
 from . import symexpr
 from .errors import DimensionError, EvaluationError, ImmersionError
-from .forms import ClosureStatus, Form, d_flat, is_closed_flat, wedge
+from .forms import Form, d_flat, wedge
 from .symexpr import Expr
-
-if TYPE_CHECKING:
-    from .manifold import Manifold
 
 _RANK_PROBES = 6
 _RANK_TOL = 1e-9
@@ -84,7 +81,7 @@ class Pseudostructure:
         comp = []
         allowed = set(params) | set(constants)
         for name, value in items:
-            expr = symexpr.simplify_expr(symexpr.validate_expr(sp.sympify(value, rational=True)))
+            expr = symexpr.simplify_expr(value)
             stray = sorted(s.name for s in expr.free_symbols if s.name not in allowed)
             if stray:
                 raise ImmersionError(
@@ -172,34 +169,6 @@ def d_pi(pi: Pseudostructure, theta: Form) -> Form:
     return d_flat(pullback(pi, theta))
 
 
-def is_closed_on(pi: Pseudostructure, theta: Form, *, seed: int | None = None) -> ClosureStatus:
-    return is_closed_flat(pullback(pi, theta), seed=seed)
-
-
-@dataclass(frozen=True)
-class PseudostructureCheck:
-    """Joint closure verdicts for a form and its metric dual on a candidate."""
-
-    primal: ClosureStatus
-    dual: ClosureStatus
-
-    @property
-    def satisfied(self) -> bool:
-        return self.primal is ClosureStatus.CLOSED and self.dual is ClosureStatus.CLOSED
-
-
-def defines_pseudostructure(m: "Manifold", pi: Pseudostructure, theta: Form, *, seed: int | None = None) -> PseudostructureCheck:
-    """Check both closure conditions on the candidate: the restricted form
-    itself and its metric dual (the condition that actually singles out the
-    carrier)."""
-    from .hodge import star
-
-    return PseudostructureCheck(
-        primal=is_closed_on(pi, theta, seed=seed),
-        dual=is_closed_on(pi, star(m, theta), seed=seed),
-    )
-
-
 def jacobian_determinant(exprs: Sequence[symexpr.ExprLike], variables: Sequence[str]) -> Expr:
     """Determinant of the partial-derivative matrix of a square map,
     simplified, and factored when polynomial."""
@@ -210,7 +179,7 @@ def jacobian_determinant(exprs: Sequence[symexpr.ExprLike], variables: Sequence[
         )
     rows = []
     for e in exprs:
-        e = symexpr.validate_expr(sp.sympify(e, rational=True))
+        e = symexpr.as_expr(e)
         rows.append([sp.diff(e, sp.Symbol(v)) for v in variables])
     det = symexpr.simplify_expr(sp.Matrix(rows).det() if rows else sp.Integer(1))
     if det.free_symbols and not det.atoms(sp.Function):
@@ -224,8 +193,8 @@ def poisson_bracket(
     pairs: Sequence[tuple[str, str]],
 ) -> Expr:
     """Canonical bracket sum_i (df/dq_i dg/dp_i - df/dp_i dg/dq_i)."""
-    f = symexpr.validate_expr(sp.sympify(f, rational=True))
-    g = symexpr.validate_expr(sp.sympify(g, rational=True))
+    f = symexpr.as_expr(f)
+    g = symexpr.as_expr(g)
     seen: set[str] = set()
     for q, p in pairs:
         for name in (q, p):
@@ -312,7 +281,7 @@ def degenerate_locus(e: symexpr.ExprLike, *, seed: int | None = None) -> Degener
     locus component.  Non-polynomial input is probed along random lines in
     the standard box and any bracketed roots are bisected to sample zeros.
     """
-    e = symexpr.simplify_expr(symexpr.validate_expr(sp.sympify(e, rational=True)))
+    e = symexpr.simplify_expr(e)
     if e.free_symbols and not e.atoms(sp.Function) and not e.has(sp.E):
         numerator, denominator = sp.fraction(sp.cancel(e))
         note = ""

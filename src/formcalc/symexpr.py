@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 import random
+import sys
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -58,15 +59,11 @@ def as_expr(value: ExprLike) -> Expr:
 
     Strings go through sympy's parser with ``^`` meaning power and decimal
     literals rationalized; the DSL parser in :mod:`formcalc.dsl` is the
-    strict front end with positioned errors.
+    strict front end with positioned errors.  Every coefficient enters
+    through this gate or through :func:`simplify_expr`, which applies it.
     """
-    if isinstance(value, Fraction):
-        e = sp.Rational(value.numerator, value.denominator)
-    elif isinstance(value, str):
-        e = sp.sympify(value, rational=True, convert_xor=True)
-    else:
-        e = sp.sympify(value, rational=True)
-    validate_expr(e)
+    e = sp.sympify(value, rational=True)
+    _validate(e)
     return e
 
 
@@ -104,12 +101,6 @@ def _validate(e: sp.Basic) -> None:
     raise UnsupportedExpressionError(
         f"unsupported node {type(e).__name__} in {e}"
     )
-
-
-def validate_expr(e: Expr) -> Expr:
-    """Raise UnsupportedExpressionError unless ``e`` is in the supported class."""
-    _validate(sp.sympify(e))
-    return sp.sympify(e)
 
 
 def _pythagorean_collapse(e: Expr) -> Expr:
@@ -194,6 +185,8 @@ def _cancel_rational(e: Expr, gens: tuple[Expr, ...]) -> Expr:
 def _canonical(e: Expr) -> Expr:
     # Within one computation the same coefficient is canonicalised many
     # times: every Form construction re-canonicalises canonical coefficients.
+    # A tree is validated on its first visit; a rejected one is never cached.
+    _validate(e)
     if e.is_Number:
         return e
     gens = _rational_symbols(e)
@@ -217,23 +210,21 @@ def simplify_expr(e: ExprLike) -> Expr:
     ``sp.cancel`` would.  Trees with sin, cos, exp, log or E go through
     ``sp.cancel`` and a Pythagorean rewrite candidate (kept only when it
     shortens the expression).  The same mathematical tree always lands on
-    the same canonical tree; results are memoized.
+    the same canonical tree; results are memoized.  Raises
+    UnsupportedExpressionError for exactly the trees :func:`as_expr` rejects.
     """
     return _canonical(sp.sympify(e, rational=True))
 
 
 def differentiate(e: ExprLike, v: str) -> Expr:
     """Partial derivative with respect to the variable named ``v``, simplified."""
-    e = validate_expr(sp.sympify(e, rational=True))
-    return simplify_expr(sp.diff(e, sp.Symbol(v)))
+    return simplify_expr(sp.diff(as_expr(e), sp.Symbol(v)))
 
 
 def substitute(e: ExprLike, bindings: Mapping[str, ExprLike]) -> Expr:
     """Simultaneous substitution of variables by expressions, then simplify."""
-    e = validate_expr(sp.sympify(e, rational=True))
-    table = {}
-    for name, value in bindings.items():
-        table[sp.Symbol(name)] = validate_expr(sp.sympify(value, rational=True))
+    e = as_expr(e)
+    table = {sp.Symbol(name): as_expr(value) for name, value in bindings.items()}
     return simplify_expr(e.xreplace(table))
 
 
@@ -244,7 +235,7 @@ def eval_at(e: ExprLike, point: Mapping[str, object]) -> Union[Fraction, float]:
     Raises EvaluationError for unbound variables, division by zero at the
     point, or values outside the real domain.
     """
-    e = validate_expr(sp.sympify(e, rational=True))
+    e = as_expr(e)
     table = {}
     for name, value in point.items():
         frac = Fraction(value) if not isinstance(value, Fraction) else value
@@ -284,7 +275,6 @@ def is_zero(e: ExprLike, *, seed: int | None = None, points: int = PROBE_POINTS)
     vanishes: function-free trees are decided exactly by their canonical
     rational normal form, anything else is PROBABLY_NONZERO.
     """
-    e = validate_expr(sp.sympify(e, rational=True))
     s = simplify_expr(e)
     if s == 0:
         return ZeroStatus.ZERO
@@ -315,6 +305,15 @@ def is_zero(e: ExprLike, *, seed: int | None = None, points: int = PROBE_POINTS)
 
 
 def expr_text(e: ExprLike) -> str:
-    """Canonical text of an expression in the DSL grammar (``^`` for powers)."""
-    return sstr(sp.sympify(e, rational=True)).replace("**", "^")
+    """Canonical text of an expression in the DSL grammar (``^`` for powers).
+
+    Raises EvaluationError for an integer too long for Python to print.
+    """
+    try:
+        return sstr(sp.sympify(e, rational=True)).replace("**", "^")
+    except ValueError:  # Python's int -> str digit limit
+        raise EvaluationError(
+            f"expression too large to print: an integer has more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
 

@@ -142,6 +142,31 @@ def test_pullback_and_dpi_commands(tmp_path, constant_line):
     assert record["result"]["closed"] == "not-closed"
 
 
+@pytest.mark.parametrize("form, pseudo, expected", [
+    # x dx + y dy and its dual -y dx + x dy both close on the diagonal line
+    ("(x) dx + (y) dy", {"params": ["t"], "map": {"x": "t", "y": "t"}}, ("closed", "closed", True, 0)),
+    # a 2-form closes on a surface, its dual x2 dx1 pulls back to v du, which does not
+    ("(x2) dx2^dx3", {"params": ["u", "v"], "map": {"x1": "u", "x2": "v", "x3": "u^2 + v^2"}},
+     ("closed", "not-closed", False, 1)),
+], ids=["line", "surface"])
+def test_dpi_dual_checks_both_closure_conditions(tmp_path, form, pseudo, expected):
+    coords = list(pseudo["map"])
+    eye = [["1" if i == j else "0" for j in coords] for i in coords]
+    manifold = write_json(tmp_path / "m.json", {"coords": coords, "metric": eye})
+    path = write_json(tmp_path / "pi.json", pseudo)
+    code, record = run(["dpi", "--form", form, "--pseudo", path, "--dual", "--manifold", manifold])
+    check(record)
+    result = record["result"]
+    assert (result["closed"], result["dual_closed"], result["defines_pseudostructure"], code) == expected
+
+
+def test_dpi_dual_needs_a_manifold(constant_line):
+    code, record = run(["dpi", "--form", "(xi2) dxi1", "--pseudo", constant_line, "--dual"])
+    check(record)
+    assert code == 2
+    assert record["result"]["error"] == "--dual needs --manifold with a metric"
+
+
 def test_jacobian_command():
     code, record = run([
         "jacobian",
@@ -308,6 +333,26 @@ def test_nesting_at_the_limit_computes(coefficient):
     assert code == 0
 
 
+@pytest.mark.parametrize("coefficient, message", [
+    ("2^15000", "expression too large to print"),  # 4516 digits, computed
+    ("7" * 5000, "integer literal longer than 4300 digits (line 1, column 2)"),
+], ids=["computed", "literal"])
+def test_integers_beyond_the_digit_limit_are_usage_errors(coefficient, message, capsys):
+    assert main(["d", "--form", f"({coefficient}) dx1", "--dim", "2"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    record = check(json.loads(lines[0]))
+    assert record["status"] == "error"
+    assert message in record["result"]["error"]
+
+
+def test_integers_below_the_digit_limit_print():
+    code, record = run(["d", "--form", "(2^(10^4)) dx1", "--dim", "2"])  # 3011 digits
+    check(record)
+    assert code == 0
+    assert record["inputs"]["form"]["terms"]["dx1"] == str(2**10**4)
+
+
 def test_inline_and_referenced_manifold_give_the_same_relation(tmp_path):
     table = {"coords": ["xi1", "xi2"],
              "gamma": [[["0", "0"], ["1", "0"]], [["xi2", "0"], ["0", "0"]]]}
@@ -369,3 +414,12 @@ def test_verbose_writes_summary_to_stderr(capsys):
     captured = capsys.readouterr()
     assert "classify: ok" in captured.err
     json.loads(captured.out)  # stdout stays machine-readable
+
+
+@pytest.mark.parametrize("flag", ["--js", "--verb"])
+def test_abbreviated_flags_are_usage_errors(flag, capsys):
+    assert main(["classify", "-p", "3", "-k", "2", "-N", "4", flag]) == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {flag}" in captured.err
+    record = check(json.loads(captured.out))
+    assert record["result"] == {"error": "usage error"}

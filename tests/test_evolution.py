@@ -17,12 +17,10 @@ from formcalc import (
     as_expr,
     attempt_degenerate_transformation,
     build_relation,
-    commutator_decomposition,
     eval_at,
     nonidentity_check,
     poincare_antiderivative,
     relation_from_form,
-    selfvariation,
     sequential_integration,
 )
 from formcalc.forms import d_flat
@@ -89,7 +87,7 @@ def test_undetermined_verdict_for_unrecognized_identity():
 
 def test_decomposition_flat_manifold():
     r = build_relation(balance(["xi2", "-xi1"]))
-    quantum, deformation = commutator_decomposition(r)
+    quantum, deformation = r.commutator.coefficient_term, r.commutator.metric_term
     assert quantum == Form(XI, 2, {(0, 1): -2})
     assert deformation.is_zero_form()
 
@@ -98,7 +96,7 @@ def test_decomposition_deforming_manifold():
     m = Manifold(XI, connection=Connection.single(2, 0, 1, 0, "c"))
     b = BalanceSystem.build(XI, [as_expr("a1"), as_expr("0")], manifold=m)
     r = build_relation(b)
-    quantum, deformation = commutator_decomposition(r)
+    quantum, deformation = r.commutator.coefficient_term, r.commutator.metric_term
     assert quantum.is_zero_form()
     assert deformation == Form(XI, 2, {(0, 1): "c*a1"})
     assert r.commutator.total == deformation
@@ -299,7 +297,7 @@ def test_commutator_matches_central_difference_curl(rng):
         checked += 1
 
 
-# -- degree containers and the selfvariation hook -------------------------------------------
+# -- degree containers ---------------------------------------------------------------------
 
 
 def test_relation_from_degree_two_form():
@@ -314,18 +312,3 @@ def test_relation_from_degree_zero_form():
     r = relation_from_form("psi", Form.scalar(XI, "xi1"))
     assert r.degree == 0
     assert r.commutator.total == Form(XI, 1, {(0,): 1})
-
-
-def test_selfvariation_hook_reaches_identical_state():
-    def damp(b, step):
-        # shrink the non-gradient part each step; at step >= 1 the action is a gradient
-        if step == 0:
-            return [as_expr("xi2 + xi2"), as_expr("xi1")]
-        return [as_expr("xi2"), as_expr("xi1")]
-
-    history = selfvariation(balance(["xi2 + xi2", "xi1"]), damp, steps=3)
-    assert [h.verdict for h in history] == [
-        RelationVerdict.NONIDENTICAL,
-        RelationVerdict.NONIDENTICAL,
-        RelationVerdict.IDENTICAL,
-    ]

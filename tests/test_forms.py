@@ -15,7 +15,7 @@ from formcalc import (
     scale,
     wedge,
 )
-from formcalc.forms import merge_indices, sort_index
+from formcalc.forms import sort_index
 
 C2 = ("x1", "x2")
 C3 = ("x1", "x2", "x3")
@@ -32,9 +32,9 @@ def test_sort_index_parity():
 
 
 def test_merge_indices_sign():
-    assert merge_indices((0,), (1,)) == (1, (0, 1))
-    assert merge_indices((1,), (0,)) == (-1, (0, 1))
-    assert merge_indices((0,), (0,)) is None
+    assert sort_index((0,) + (1,)) == (1, (0, 1))
+    assert sort_index((1,) + (0,)) == (-1, (0, 1))
+    assert sort_index((0,) + (0,)) is None
 
 
 # -- wedge -------------------------------------------------------------------

@@ -10,20 +10,16 @@ from formcalc import (
     DimensionError,
     Form,
     ImmersionError,
-    Manifold,
     Pseudostructure,
     as_expr,
     d_pi,
-    defines_pseudostructure,
     degenerate_locus,
-    euclidean,
     eval_at,
-    is_closed_on,
     jacobian_determinant,
     poisson_bracket,
     pullback,
 )
-from formcalc.forms import d_flat, scale, wedge
+from formcalc.forms import d_flat, is_closed_flat, scale, wedge
 
 XY = ("x", "y")
 
@@ -111,14 +107,14 @@ def test_d_pi_commutes_with_d_for_exact_forms(rng):
         theta = rand_form(rng, ("x", "y", "z"), 1)
         exact = d_flat(theta)
         assert d_pi(pi, exact).is_zero_form()
-        assert is_closed_on(pi, exact) is ClosureStatus.CLOSED
+        assert is_closed_flat(pullback(pi, exact)) is ClosureStatus.CLOSED
 
 
 def test_unclosed_plane_form_closes_on_any_curve():
     omega = Form(XY, 1, {(0,): "-y", (1,): "x"})
     assert d_flat(omega) == Form(XY, 2, {(0, 1): 2})  # unclosed in the plane
     for pi in (line_curve(0), line_curve(2), circle()):
-        assert is_closed_on(pi, omega) is ClosureStatus.CLOSED
+        assert is_closed_flat(pullback(pi, omega)) is ClosureStatus.CLOSED
 
 
 def test_closes_on_line_though_unclosed_in_plane():
@@ -126,19 +122,7 @@ def test_closes_on_line_though_unclosed_in_plane():
     pi = line_curve("c")
     assert pullback(pi, omega) == Form(("t",), 1, {(0,): "c"})
     assert d_pi(pi, omega).is_zero_form()
-    assert is_closed_on(pi, omega) is ClosureStatus.CLOSED
-
-
-def test_defines_pseudostructure_checks_both_conditions():
-    m = Manifold(XY, metric=euclidean(2))
-    # omega = x dx + y dy: closed everywhere; its dual -y dx + x dy pulls
-    # back to t^2 dt + ... on the diagonal line, still closed on a 1-dim carrier
-    omega = Form(XY, 1, {(0,): "x", (1,): "y"})
-    pi = Pseudostructure.build(["t"], [("x", as_expr("t")), ("y", as_expr("t"))])
-    check = defines_pseudostructure(m, pi, omega)
-    assert check.primal is ClosureStatus.CLOSED
-    assert check.dual is ClosureStatus.CLOSED
-    assert check.satisfied
+    assert is_closed_flat(pullback(pi, omega)) is ClosureStatus.CLOSED
 
 
 # -- immersion validation ----------------------------------------------------------

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formcalc import (
+    BalanceSystem,
+    Connection,
     EvaluationError,
+    Form,
+    Metric,
+    Pseudostructure,
     UnsupportedExpressionError,
     ZeroStatus,
     as_expr,
@@ -17,7 +22,6 @@ from formcalc import (
     is_zero,
     simplify_expr,
     substitute,
-    validate_expr,
 )
 
 x, y = sp.symbols("x y")
@@ -221,16 +225,36 @@ def test_rational_constants_are_reduced():
 
 def test_validate_rejects_floats():
     with pytest.raises(UnsupportedExpressionError):
-        validate_expr(sp.Float(0.5) * x)
+        as_expr(sp.Float(0.5) * x)
 
 
 def test_validate_rejects_symbolic_exponents():
     with pytest.raises(UnsupportedExpressionError):
-        validate_expr(x**y)
+        as_expr(x**y)
 
 
 def test_validate_accepts_quotients_and_functions():
-    validate_expr(1 / (x + y) + sp.log(x) * sp.exp(y) - sp.cos(x) ** 3)
+    as_expr(1 / (x + y) + sp.log(x) * sp.exp(y) - sp.cos(x) ** 3)
+
+
+#: Every public entry point that takes a coefficient, as value -> result.
+GATED_CONSTRUCTORS = {
+    "Form": lambda v: Form(("x", "y"), 1, {(0,): v}),
+    "Connection.from_nested": lambda v: Connection.from_nested([[[v, 0], [0, 0]], [[0, 0], [0, 0]]]),
+    "Metric.from_nested": lambda v: Metric.from_nested([[v, 0], [0, 1]]),
+    "BalanceSystem.build": lambda v: BalanceSystem.build(("x", "y"), [v, 0]),
+    "Pseudostructure.build": lambda v: Pseudostructure.build(["x"], [("a", "x"), ("b", v)], constants=["y"]),
+    "simplify_expr": simplify_expr,
+    "as_expr": as_expr,
+}
+
+
+@pytest.mark.parametrize("construct", GATED_CONSTRUCTORS.values(), ids=GATED_CONSTRUCTORS.keys())
+def test_every_constructor_applies_the_coefficient_gate(construct):
+    for bad in (sp.Float(0.5) * x, x**y):
+        with pytest.raises(UnsupportedExpressionError):
+            construct(bad)
+    construct("1/2")
 
 
 # -- linearity and product rule (property-based) --------------------------------
