@@ -22,7 +22,7 @@ import sympy as sp
 
 from . import symexpr
 from .errors import ParseError
-from .forms import Form, sort_index
+from .forms import Form, collect
 from .symexpr import Expr
 
 _FUNCTIONS = {"sin": sp.sin, "cos": sp.cos, "exp": sp.exp, "log": sp.log}
@@ -145,7 +145,8 @@ class _Parser:
             exponent = self.unary()
             if not getattr(exponent, "is_Integer", False):
                 raise ParseError(
-                    f"exponent must be an integer constant, got {exponent}", tok.line, tok.column
+                    f"exponent must be an integer constant, got {symexpr.expr_text(exponent)}",
+                    tok.line, tok.column,
                 )
             return base**exponent
         return base
@@ -207,15 +208,7 @@ class _Parser:
             raise ParseError(
                 f"mixed term degrees {sorted(degrees)} in one form", tok.line, tok.column
             )
-        degree = degrees.pop()
-        table: dict[tuple[int, ...], Expr] = {}
-        for coeff, indices, _ in terms:
-            normalized = sort_index(indices)
-            if normalized is None:
-                continue  # repeated basis index annihilates the term
-            s, idx = normalized
-            table[idx] = table.get(idx, sp.Integer(0)) + sp.Integer(s) * coeff
-        return Form(coords, degree, table)
+        return collect(coords, degrees.pop(), ((indices, coeff) for coeff, indices, _ in terms))
 
     def form_term(self, index_of: dict[str, int]) -> tuple[Expr, tuple[int, ...], Token]:
         tok = self.current

@@ -20,7 +20,7 @@ import sympy as sp
 
 from . import symexpr
 from .errors import ClosureError, DimensionError, HomotopyError
-from .forms import ClosureStatus, Form, closure_status, d_flat
+from .forms import ClosureStatus, Form, closure_status, collect, d_flat
 from .manifold import CommutatorReport, Manifold, commutator_report
 from .pseudostructure import Pseudostructure, pullback
 from .symexpr import Expr
@@ -126,12 +126,7 @@ class IdenticalRelation:
 def build_relation(b: BalanceSystem) -> EvolutionaryRelation:
     """Convolute the balance equations into d psi = omega, omega = sum A_mu dxi^mu."""
     omega = Form(b.coords, 1, {(mu,): a for mu, a in enumerate(b.action)})
-    return EvolutionaryRelation(
-        psi=b.psi,
-        omega=omega,
-        commutator=commutator_report(omega, b.manifold),
-        manifold=b.manifold,
-    )
+    return relation_from_form(b.psi, omega, b.manifold)
 
 
 def relation_from_form(psi: str, omega: Form, manifold: Manifold | None = None) -> EvolutionaryRelation:
@@ -165,7 +160,7 @@ def poincare_antiderivative(omega: Form) -> Form:
         raise HomotopyError(f"form is not closed: d residual {residual}")
     s = sp.Dummy("s")
     scaling = {sp.Symbol(name): s * sp.Symbol(name) for name in omega.coords}
-    acc: dict[tuple[int, ...], Expr] = {}
+    pairs = []
     for idx, coeff in omega.terms.items():
         integrand = sp.expand(coeff.xreplace(scaling) * s ** (p - 1))
         try:
@@ -182,8 +177,8 @@ def poincare_antiderivative(omega: Form) -> Form:
             i = idx[slot]
             rest = idx[:slot] + idx[slot + 1:]
             contribution = sp.Integer((-1) ** slot) * integral * sp.Symbol(omega.coords[i])
-            acc[rest] = acc.get(rest, sp.Integer(0)) + contribution
-    return Form(omega.coords, p - 1, acc)
+            pairs.append((rest, contribution))
+    return collect(omega.coords, p - 1, pairs)
 
 
 def attempt_degenerate_transformation(

@@ -32,8 +32,8 @@ def sort_index(indices: Sequence[int]) -> tuple[int, MultiIndex] | None:
 
     Returns (sign, sorted_tuple) where sign is the parity of the sorting
     permutation, or None when an index repeats (the term annihilates).
-    This is the one permutation-sign rule: wedge, d_flat, star and the DSL
-    all take their signs from it.
+    This is the one permutation-sign rule: collect, star and
+    Form.coefficient take their signs from it.
     """
     items = list(indices)
     if len(set(items)) != len(items):
@@ -53,8 +53,9 @@ class Form:
     """A degree-p skew-symmetric form over named coordinates.
 
     ``terms`` maps strictly increasing index tuples (positions into
-    ``coords``) to nonzero coefficients.  Instances are immutable values;
-    all operations return new forms.
+    ``coords``) to nonzero coefficients; the constructor rejects any other
+    tuple, and ``collect`` builds a table from raw terms.  Instances are
+    immutable values; all operations return new forms.
     """
 
     __slots__ = ("coords", "degree", "terms")
@@ -63,7 +64,7 @@ class Form:
         self,
         coords: Sequence[str],
         degree: int,
-        terms: Mapping[MultiIndex, symexpr.ExprLike] | Iterable[tuple[MultiIndex, symexpr.ExprLike]] = (),
+        terms: Mapping[MultiIndex, symexpr.ExprLike] | None = None,
     ):
         coords = tuple(coords)
         if len(set(coords)) != len(coords):
@@ -72,8 +73,7 @@ class Form:
             raise DimensionError(f"negative degree {degree}")
         n = len(coords)
         table: dict[MultiIndex, Expr] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for idx, coeff in items:
+        for idx, coeff in (terms or {}).items():
             idx = tuple(int(i) for i in idx)
             if len(idx) != degree:
                 raise DimensionError(
@@ -86,14 +86,8 @@ class Form:
             if degree > n:
                 continue  # degree above dimension: zero form
             expr = symexpr.simplify_expr(coeff)
-            if expr == 0:
-                continue
-            if idx in table:
-                expr = symexpr.simplify_expr(table[idx] + expr)
-                if expr == 0:
-                    del table[idx]
-                    continue
-            table[idx] = expr
+            if expr != 0:
+                table[idx] = expr
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "degree", int(degree))
         object.__setattr__(self, "terms", table)
@@ -105,7 +99,7 @@ class Form:
 
     @classmethod
     def zero(cls, coords: Sequence[str], degree: int) -> "Form":
-        return cls(coords, degree, ())
+        return cls(coords, degree)
 
     @classmethod
     def scalar(cls, coords: Sequence[str], value: symexpr.ExprLike) -> "Form":
@@ -114,11 +108,7 @@ class Form:
     @classmethod
     def basis(cls, coords: Sequence[str], indices: Sequence[int], coeff: symexpr.ExprLike = 1) -> "Form":
         """Coefficient times dx^{i1} ^ ... ^ dx^{ip} for possibly unsorted indices."""
-        sorted_ = sort_index(indices)
-        if sorted_ is None:
-            return cls.zero(coords, len(indices))
-        sign, idx = sorted_
-        return cls(coords, len(indices), {idx: sp.Integer(sign) * sp.sympify(coeff, rational=True)})
+        return collect(coords, len(indices), [(indices, sp.sympify(coeff, rational=True))])
 
     # -- basic protocol ----------------------------------------------------
 
@@ -190,31 +180,40 @@ def _check_same_space(a: Form, b: Form) -> None:
         )
 
 
+def collect(coords: Sequence[str], degree: int, pairs: Iterable[tuple[Sequence[int], Expr]]) -> Form:
+    """The one term-table builder: a Form from raw (index tuple, coefficient)
+    terms.  Each term takes its sign from sort_index, a repeated index
+    annihilates it, and the raw terms on one tuple are summed; sums that are
+    literally zero are dropped, and Form canonicalises each other sum once.
+    """
+    table: dict[MultiIndex, Expr] = {}
+    for indices, coeff in pairs:
+        merged = sort_index(indices)
+        if merged is None:
+            continue
+        sign, idx = merged
+        term = sp.Integer(sign) * coeff
+        table[idx] = table[idx] + term if idx in table else term
+    return Form(coords, degree, {idx: c for idx, c in table.items() if c != 0})
+
+
 def wedge(a: Form, b: Form) -> Form:
     """Exterior product.  Repeated basis indices annihilate, unsorted index
     pairs pick up the permutation sign, and results of degree above the
     space dimension collapse to zero."""
     _check_same_space(a, b)
-    degree = a.degree + b.degree
-    acc: dict[MultiIndex, Expr] = {}
-    for left, ca in a.terms.items():
-        for right, cb in b.terms.items():
-            merged = sort_index(left + right)
-            if merged is None:
-                continue
-            sign, idx = merged
-            acc[idx] = acc.get(idx, sp.Integer(0)) + sp.Integer(sign) * ca * cb
-    return Form(a.coords, degree, acc)
+    return collect(a.coords, a.degree + b.degree, (
+        (left + right, ca * cb)
+        for left, ca in a.terms.items()
+        for right, cb in b.terms.items()
+    ))
 
 
 def add(a: Form, b: Form) -> Form:
     _check_same_space(a, b)
     if a.degree != b.degree:
         raise DimensionError(f"degree mismatch: {a.degree} vs {b.degree}")
-    acc: dict[MultiIndex, Expr] = dict(a.terms)
-    for idx, coeff in b.terms.items():
-        acc[idx] = acc.get(idx, sp.Integer(0)) + coeff
-    return Form(a.coords, a.degree, acc)
+    return collect(a.coords, a.degree, [*a.terms.items(), *b.terms.items()])
 
 
 def scale(a: Form, c: symexpr.ExprLike) -> Form:
@@ -224,18 +223,12 @@ def scale(a: Form, c: symexpr.ExprLike) -> Form:
 
 def d_flat(a: Form) -> Form:
     """Flat exterior derivative: the sum of d(coefficient) wedge basis."""
-    acc: dict[MultiIndex, Expr] = {}
-    for idx, coeff in a.terms.items():
-        occupied = set(idx)
-        for j, name in enumerate(a.coords):
-            if j in occupied:
-                continue
-            dc = symexpr.differentiate(coeff, name)
-            if dc == 0:
-                continue
-            sign, new_idx = sort_index((j,) + idx)  # j is not in idx
-            acc[new_idx] = acc.get(new_idx, sp.Integer(0)) + sp.Integer(sign) * dc
-    return Form(a.coords, a.degree + 1, acc)
+    return collect(a.coords, a.degree + 1, (
+        ((j,) + idx, symexpr.differentiate(coeff, name))
+        for idx, coeff in a.terms.items()
+        for j, name in enumerate(a.coords)
+        if j not in idx
+    ))
 
 
 def closure_status(differential: Form, *, seed: int | None = None) -> ClosureStatus:

@@ -96,7 +96,7 @@ def _diagonal_rationals(metric: Metric) -> list[Fraction]:
                 if not entry.is_Rational:
                     raise MetricError(
                         "duality requires a constant diagonal metric; "
-                        f"entry ({i},{i}) = {entry} is not a rational constant"
+                        f"entry ({i},{i}) = {symexpr.expr_text(entry)} is not a rational constant"
                     )
                 if entry == 0:
                     raise MetricError(f"degenerate metric: diagonal entry ({i},{i}) is zero")
@@ -104,7 +104,7 @@ def _diagonal_rationals(metric: Metric) -> list[Fraction]:
             elif entry != 0:
                 raise MetricError(
                     "duality requires a constant diagonal metric; "
-                    f"off-diagonal entry ({i},{j}) = {entry} is nonzero"
+                    f"off-diagonal entry ({i},{j}) = {symexpr.expr_text(entry)} is nonzero"
                 )
     return diag
 
@@ -114,7 +114,7 @@ def _rational_sqrt(value: Fraction) -> Fraction:
     rn, rd = isqrt(num), isqrt(den)
     if rn * rn != num or rd * rd != den:
         raise MetricError(
-            f"volume element sqrt({value}) is irrational; only metrics with a "
+            f"volume element sqrt({symexpr.expr_text(value)}) is irrational; only metrics with a "
             "perfect-square |det| are supported exactly"
         )
     return Fraction(rn, rd)
@@ -142,7 +142,7 @@ def star(m: "Manifold", theta: Form) -> Form:
     for d in diag:
         det *= d
     vol = _rational_sqrt(abs(det))
-    acc: dict[tuple[int, ...], Expr] = {}
+    terms: dict[tuple[int, ...], Expr] = {}
     full = tuple(range(n))
     for idx, coeff in theta.terms.items():
         complement = tuple(i for i in full if i not in idx)
@@ -150,9 +150,8 @@ def star(m: "Manifold", theta: Form) -> Form:
         factor = Fraction(1)
         for i in idx:
             factor /= diag[i]
-        scalar = sp.Rational(vol * factor) * sp.Integer(sign)
-        acc[complement] = acc.get(complement, sp.Integer(0)) + scalar * coeff
-    return Form(m.coords, n - p, acc)
+        terms[complement] = sp.Rational(vol * factor) * sp.Integer(sign) * coeff
+    return Form(m.coords, n - p, terms)
 
 
 def delta(m: "Manifold", theta: Form) -> Form:

@@ -23,7 +23,7 @@ import sympy as sp
 
 from . import symexpr
 from .errors import DimensionError, MetricError
-from .forms import Form, d_flat
+from .forms import Form, collect, d_flat
 from .symexpr import Expr, ZeroStatus
 
 if TYPE_CHECKING:
@@ -199,9 +199,8 @@ def _torsion_term(m: Manifold, theta: Form) -> Form:
     if m.connection is None or p == 0 or not theta.terms:
         return Form.zero(m.coords, p + 1)
     gamma = m.connection
-    acc: dict[tuple[int, ...], Expr] = {}
+    pairs = []
     for out in itertools.combinations(range(n), p + 1):
-        total = sp.Integer(0)
         for k in range(p + 1):
             rest = out[:k] + out[k + 1:]
             alpha = out[k]
@@ -216,10 +215,8 @@ def _torsion_term(m: Manifold, theta: Form) -> Form:
                     comp = theta.coefficient(replaced)
                     if comp == 0:
                         continue
-                    total += sp.Integer(sign) * entry * comp
-        if total != 0:
-            acc[out] = total
-    return Form(m.coords, p + 1, acc)
+                    pairs.append((out, sp.Integer(sign) * entry * comp))
+    return collect(m.coords, p + 1, pairs)
 
 
 def d_evolutionary(m: Manifold, theta: Form) -> Form:

@@ -11,6 +11,7 @@ vanishing) is what singles such carriers out.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +21,7 @@ import sympy as sp
 
 from . import symexpr
 from .errors import DimensionError, EvaluationError, ImmersionError
-from .forms import Form, d_flat, wedge
+from .forms import Form, collect, d_flat
 from .symexpr import Expr
 
 _RANK_PROBES = 6
@@ -85,7 +86,7 @@ class Pseudostructure:
             stray = sorted(s.name for s in expr.free_symbols if s.name not in allowed)
             if stray:
                 raise ImmersionError(
-                    f"component {name} = {expr} uses symbols {stray} that are "
+                    f"component {name} = {symexpr.expr_text(expr)} uses symbols {stray} that are "
                     "neither parameters nor declared constants"
                 )
             comp.append((name, expr))
@@ -141,8 +142,8 @@ def pullback(pi: Pseudostructure, theta: Form) -> Form:
     """Restrict a form to the pseudostructure.
 
     Coefficients are composed with the map; each basis factor dx_i is
-    replaced by sum_j (dphi_i/dt_j) dt_j and the wedges re-expanded.  Any
-    degree above the parameter dimension collapses to zero.
+    replaced by sum_j (dphi_i/dt_j) dt_j, expanded over ordered tuples of
+    distinct parameters.  Any degree above the parameter dimension is zero.
     """
     if theta.coords != pi.ambient_coords:
         raise DimensionError(
@@ -150,18 +151,12 @@ def pullback(pi: Pseudostructure, theta: Form) -> Form:
         )
     bindings = {name: expr for name, expr in pi.component_map}
     jac = pi.jacobian()
-    params = pi.params
-    pulled_basis = [
-        Form(params, 1, {(j,): jac[i][j] for j in range(len(params))})
-        for i in range(pi.ambient_dim)
-    ]
-    result = Form.zero(params, theta.degree)
+    pairs = []
     for idx, coeff in theta.terms.items():
-        term = Form.scalar(params, symexpr.substitute(coeff, bindings))
-        for i in idx:
-            term = wedge(term, pulled_basis[i])
-        result = result + term
-    return result
+        c = symexpr.substitute(coeff, bindings)
+        for js in itertools.permutations(range(pi.parameter_dim), theta.degree):
+            pairs.append((js, sp.Mul(c, *(jac[i][j] for i, j in zip(idx, js)))))
+    return collect(pi.params, theta.degree, pairs)
 
 
 def d_pi(pi: Pseudostructure, theta: Form) -> Form:

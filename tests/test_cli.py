@@ -346,6 +346,24 @@ def test_integers_beyond_the_digit_limit_are_usage_errors(coefficient, message, 
     assert message in record["result"]["error"]
 
 
+@pytest.mark.parametrize("command, config", [
+    (["pullback", "--form", "(x1) dx1"], ("--pseudo", {"params": ["t"], "map": {"x1": "t", "x2": "2^15000*z"}})),
+    (["star", "--form", "(x1) dx1", "--dim", "2"], ("--metric", [["2^15000*x1", "0"], ["0", "1"]])),
+    (["d", "--form", "(x1^(x2+2^15000)) dx1", "--dim", "2"], None),
+    (["star", "--form", "(x1) dx1", "--dim", "2"], ("--metric", [["2^15001", "0"], ["0", "1"]])),
+], ids=["stray-symbol", "non-constant-diagonal", "exponent", "irrational-volume"])
+def test_integers_beyond_the_digit_limit_in_error_messages(tmp_path, command, config):
+    argv = list(command)
+    if config is not None:
+        flag, payload = config
+        argv += [flag, write_json(tmp_path / "config.json", payload)]
+    code, record = run(argv)
+    check(record)
+    assert code == 2
+    assert record["status"] == "error"
+    assert "expression too large to print" in record["result"]["error"]
+
+
 def test_integers_below_the_digit_limit_print():
     code, record = run(["d", "--form", "(2^(10^4)) dx1", "--dim", "2"])  # 3011 digits
     check(record)

@@ -15,7 +15,8 @@ from formcalc import (
     scale,
     wedge,
 )
-from formcalc.forms import sort_index
+from formcalc.forms import collect, sort_index
+from formcalc.symexpr import as_expr
 
 C2 = ("x1", "x2")
 C3 = ("x1", "x2", "x3")
@@ -35,6 +36,37 @@ def test_merge_indices_sign():
     assert sort_index((0,) + (1,)) == (1, (0, 1))
     assert sort_index((1,) + (0,)) == (-1, (0, 1))
     assert sort_index((0,) + (0,)) is None
+
+
+# -- collect -----------------------------------------------------------------
+
+
+def test_collect_unsorted_tuple_takes_the_sort_index_sign():
+    x3 = as_expr("x3")
+    assert collect(C3, 2, [((1, 0), x3)]) == Form(C3, 2, {(0, 1): "-x3"})
+    assert collect(C3, 3, [((2, 0, 1), x3)]) == Form(C3, 3, {(0, 1, 2): "x3"})
+
+
+def test_collect_repeated_index_drops_the_term():
+    f = collect(C3, 2, [((0, 0), as_expr("x1")), ((2, 1), as_expr("x2"))])
+    assert f == Form(C3, 2, {(1, 2): "-x2"})
+    assert collect(C2, 2, [((1, 1), as_expr("x1"))]) == Form.zero(C2, 2)
+
+
+def test_collect_sums_terms_on_one_tuple():
+    x1, x2 = as_expr("x1"), as_expr("x2")
+    assert collect(C2, 1, [((0,), x1), ((0,), x2)]) == Form(C2, 1, {(0,): "x1 + x2"})
+    # literally cancelling, and cancelling only after canonicalisation
+    assert collect(C2, 2, [((0, 1), x1), ((1, 0), x1)]).terms == {}
+    square, expanded = as_expr("(x1 + 1)^2"), as_expr("x1^2 + 2*x1 + 1")
+    assert collect(C2, 2, [((0, 1), square), ((1, 0), expanded)]).terms == {}
+
+
+def test_basis_with_unsorted_or_repeated_indices():
+    assert Form.basis(C3, (2, 0), "x1") == Form(C3, 2, {(0, 2): "-x1"})
+    assert Form.basis(C3, (1, 2, 0)) == Form(C3, 3, {(0, 1, 2): 1})
+    repeated = Form.basis(C3, (1, 1), "x1")
+    assert repeated.is_zero_form() and repeated.degree == 2
 
 
 # -- wedge -------------------------------------------------------------------

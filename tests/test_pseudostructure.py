@@ -18,6 +18,7 @@ from formcalc import (
     jacobian_determinant,
     poisson_bracket,
     pullback,
+    substitute,
 )
 from formcalc.forms import d_flat, is_closed_flat, scale, wedge
 
@@ -96,6 +97,62 @@ def test_pullback_additivity(rng):
         a = rand_form(rng, ("x", "y", "z"), 1)
         b = rand_form(rng, ("x", "y", "z"), 1)
         assert pullback(pi, a + b) == pullback(pi, a) + pullback(pi, b)
+
+
+def wedge_chain_pullback(pi, theta):
+    """Reference pullback: each term's substituted coefficient as a scalar
+    form, wedged with each pulled-back dphi_i in turn, and the terms summed."""
+    bindings = {name: expr for name, expr in pi.component_map}
+    jac = pi.jacobian()
+    pulled_basis = [
+        Form(pi.params, 1, {(j,): jac[i][j] for j in range(pi.parameter_dim)})
+        for i in range(pi.ambient_dim)
+    ]
+    result = Form.zero(pi.params, theta.degree)
+    for idx, coeff in theta.terms.items():
+        term = Form.scalar(pi.params, substitute(coeff, bindings))
+        for i in idx:
+            term = wedge(term, pulled_basis[i])
+        result = result + term
+    return result
+
+
+def test_pullback_matches_wedge_chain_reference():
+    rng = random.Random(20)
+    params = ("t1", "t2", "t3")
+    for _ in range(30):
+        k = rng.randint(1, 3)
+        ambient = ("x", "y", "z")[: rng.randint(k, 3)]
+        ts = [sp.Symbol(t) for t in params[:k]]
+        # t_i plus a quadratic tail: the Jacobian's top block is generically invertible
+        pi = Pseudostructure.build(params[:k], [
+            (x, (ts[i] if i < k else 0) + rng.choice([-2, -1, 1, 2]) * rng.choice(ts) * rng.choice(ts))
+            for i, x in enumerate(ambient)
+        ])
+        theta = rand_form(rng, ambient, rng.randint(0, min(3, len(ambient))))
+        assert pullback(pi, theta) == wedge_chain_pullback(pi, theta)
+
+
+def test_pullback_matches_wedge_chain_reference_on_transcendental_maps():
+    xyz = ("x", "y", "z")
+    surface = Pseudostructure.build(
+        ["t", "u"], [("x", as_expr("t + sin(u)")), ("y", as_expr("exp(t)")), ("z", as_expr("u"))]
+    )
+    curve = Pseudostructure.build(
+        ["t"], [("x", as_expr("cos(t)")), ("y", as_expr("t")), ("z", as_expr("exp(t)"))]
+    )
+    forms = [
+        Form(xyz, 0, {(): "x*sin(z)"}),
+        Form(xyz, 1, {(0,): "sin(x)", (2,): "exp(y)*z"}),
+        Form(xyz, 2, {(0, 1): "z", (1, 2): "cos(x)"}),
+        Form(xyz, 3, {(0, 1, 2): "x + y"}),
+    ]
+    for pi in (surface, curve):
+        for theta in forms:
+            pulled = pullback(pi, theta)
+            assert pulled == wedge_chain_pullback(pi, theta)
+            if theta.degree > pi.parameter_dim:
+                assert pulled.is_zero_form() and pulled.degree == theta.degree
 
 
 # -- interior differential and closure -------------------------------------------
