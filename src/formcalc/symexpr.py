@@ -181,6 +181,22 @@ def _cancel_rational(e: Expr, gens: tuple[Expr, ...]) -> Expr:
     return numer.as_expr() / denom.as_expr()
 
 
+def _cancel(e: Expr) -> Expr:
+    """``sp.cancel(e)``, skipping its signsimp/factor_terms pre-pass where
+    that pass keeps the generators (sin, cos, exp of polynomials) as they are."""
+    if all(
+        isinstance(f, (sp.sin, sp.cos, sp.exp))
+        and _rational_symbols(f.args[0]) is not None and f.args[0].is_polynomial()
+        for f in e.atoms(sp.Function)
+    ):
+        ring, (p, q) = sp.sring(e.as_numer_denom())
+        # an exp(-u) or exp(u/3) generator: cancel's pre-pass can merge exps
+        if q and not any(g.func is sp.exp and g.args[0].as_coeff_Mul()[0] != 1 for g in ring.symbols):
+            p, q = p.cancel(q)
+            return p.as_expr() / q.as_expr()
+    return sp.cancel(e)
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
 def _canonical(e: Expr) -> Expr:
     # Within one computation the same coefficient is canonicalised many
@@ -195,10 +211,10 @@ def _canonical(e: Expr) -> Expr:
             return _cancel_rational(e, gens)
         except ZeroDivisionError:
             pass  # a denominator that expands to zero: cancel gives zoo
-    base = sp.cancel(e)
+    base = _cancel(e)
     if not base.atoms(sp.sin):
         return base
-    collapsed = sp.cancel(_pythagorean_collapse(base))
+    collapsed = _cancel(_pythagorean_collapse(base))
     return min((base, collapsed), key=lambda c: (sp.count_ops(c), sp.default_sort_key(c)))
 
 
@@ -207,10 +223,13 @@ def simplify_expr(e: ExprLike) -> Expr:
 
     Function-free trees are rational functions: they are put over a common
     denominator in the sparse field QQ(x...), which gives exactly the tree
-    ``sp.cancel`` would.  Trees with sin, cos, exp, log or E go through
-    ``sp.cancel`` and a Pythagorean rewrite candidate (kept only when it
-    shortens the expression).  The same mathematical tree always lands on
-    the same canonical tree; results are memoized.  Raises
+    ``sp.cancel`` would.  Trees whose functions are sin, cos and exp of
+    function-free polynomials (E allowed) are cancelled in cancel's own ring
+    ZZ[x..., sin(u)...] without its pre-pass, to the same tree; log, an
+    exp(c*u) generator with c != 1, another argument or a zero denominator
+    go through ``sp.cancel``.  Either way a Pythagorean rewrite candidate is
+    kept only when it shortens the expression.  The same mathematical tree
+    always lands on the same canonical tree; results are memoized.  Raises
     UnsupportedExpressionError for exactly the trees :func:`as_expr` rejects.
     """
     return _canonical(sp.sympify(e, rational=True))

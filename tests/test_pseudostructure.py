@@ -37,12 +37,13 @@ def circle():
 
 
 def rand_polynomial_map(rng, params, ambient):
-    mapping = []
-    for i, name in enumerate(ambient):
-        # affine base guarantees generic full rank, plus a nonlinear tail
-        base = sp.Symbol(params[i]) if i < len(params) else sp.Integer(0)
-        mapping.append((name, base + rand_poly(rng, params, 1, 2)))
-    return Pseudostructure.build(params, mapping)
+    # t_i plus a quadratic tail: at t = 0 the Jacobian's top block is the
+    # identity, so the map has generic full rank
+    ts = [sp.Symbol(t) for t in params]
+    return Pseudostructure.build(params, [
+        (x, (ts[i] if i < len(ts) else 0) + rng.choice([-2, -1, 1, 2]) * rng.choice(ts) * rng.choice(ts))
+        for i, x in enumerate(ambient)
+    ])
 
 
 # -- pullback -------------------------------------------------------------------
@@ -123,12 +124,7 @@ def test_pullback_matches_wedge_chain_reference():
     for _ in range(30):
         k = rng.randint(1, 3)
         ambient = ("x", "y", "z")[: rng.randint(k, 3)]
-        ts = [sp.Symbol(t) for t in params[:k]]
-        # t_i plus a quadratic tail: the Jacobian's top block is generically invertible
-        pi = Pseudostructure.build(params[:k], [
-            (x, (ts[i] if i < k else 0) + rng.choice([-2, -1, 1, 2]) * rng.choice(ts) * rng.choice(ts))
-            for i, x in enumerate(ambient)
-        ])
+        pi = rand_polynomial_map(rng, params[:k], ambient)
         theta = rand_form(rng, ambient, rng.randint(0, min(3, len(ambient))))
         assert pullback(pi, theta) == wedge_chain_pullback(pi, theta)
 

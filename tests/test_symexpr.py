@@ -23,6 +23,7 @@ from formcalc import (
     simplify_expr,
     substitute,
 )
+from formcalc.symexpr import _canonical
 
 x, y = sp.symbols("x y")
 
@@ -166,6 +167,7 @@ def test_simplify_keeps_harmless_sines():
 def test_simplify_hidden_zero_denominator_matches_cancel():
     e = as_expr("1/(x*(x + 1) - x^2 - x)")
     assert simplify_expr(e) == sp.cancel(e) == sp.zoo
+    assert simplify_expr(sp.sin(x) * e) == sp.zoo * sp.sin(x)
 
 
 # Function-free trees over coordinates whose names sort differently as
@@ -209,6 +211,87 @@ def test_simplify_matches_cancel_on_function_free_trees(e):
 def test_simplify_is_idempotent(e):
     once = simplify_expr(e)
     assert sp.srepr(simplify_expr(once)) == sp.srepr(once)
+
+
+def cancel_then_pythagorean(e):
+    """Reference canonical form: ``sp.cancel``, then the Pythagorean
+    candidate, the shorter one kept."""
+    base = sp.cancel(e)
+    if not base.atoms(sp.sin):
+        return base
+    collapsed = base
+    for s in sorted(base.atoms(sp.sin), key=sp.default_sort_key):
+        collapsed = collapsed.subs(s**2, 1 - sp.cos(s.args[0]) ** 2)
+    collapsed = sp.cancel(collapsed)
+    return min((base, collapsed), key=lambda c: (sp.count_ops(c), sp.default_sort_key(c)))
+
+
+def _transcendental_node(children):
+    functions = st.tuples(st.sampled_from([sp.sin, sp.cos, sp.exp, sp.log]), children)
+    return st.one_of(_function_free_node(children), functions.map(lambda fa: fa[0](fa[1])))
+
+
+def _accepted(e):
+    try:
+        as_expr(e)
+    except UnsupportedExpressionError:  # log of a negative constant brings in I*pi
+        return False
+    return not e.has(sp.zoo, sp.nan)
+
+
+# function arguments may be rational or nested, so every route is drawn
+transcendental_trees = st.recursive(
+    st.one_of(rational_leaves, st.just(sp.E)), _transcendental_node, max_leaves=10
+).filter(_accepted)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(transcendental_trees)
+def test_simplify_matches_cancel_on_transcendental_trees(e):
+    assert sp.srepr(simplify_expr(e)) == sp.srepr(cancel_then_pythagorean(e))
+
+
+T1, T2 = sp.symbols("t1 t2")
+
+# one case per route to sp.cancel: log with integer content, an exp(c*u)
+# generator with c negative or fractional, a rational or nested-rational
+# argument, a zero denominator
+ROUTED_TO_CANCEL = {
+    "log-content": sp.sympify("-3*log(2*x**2 + 2)"),
+    "log-square": sp.sympify("2*log((-3*y**2 - 3)**2) + 2*log(3)"),
+    # built with xreplace: parsing would distribute the minus sign
+    "exp-negative": (2 * (T1 - T1 * T2) * sp.exp(-x * y)).xreplace(
+        {x: T1**2 + T2, y: -2 * T1 * T2 - 2 * T1}
+    ),
+    "exp-constant": sp.sympify("exp(7/3)/(E - exp(2))", rational=True),
+    "exp-fraction": sp.sympify("-(-x + 3*exp(x) + 3*exp(-x)*sin(x))*exp(2*x/3)/2", rational=True),
+    "rational-argument": sp.sympify("sin(3*x + 3/2 + 1/(x - 81/4))", rational=True),
+    "nested-argument": sp.sympify("exp(1/(-x**3*y/2 - 4/(a**2*x**2)))", rational=True),
+    "zero-denominator": sp.sympify("sin(x)/(x*(x + 1) - x^2 - x)", convert_xor=True),
+}
+
+
+@pytest.mark.parametrize("e", ROUTED_TO_CANCEL.values(), ids=ROUTED_TO_CANCEL.keys())
+def test_simplify_matches_cancel_where_the_ring_path_would_not(e):
+    assert sp.srepr(simplify_expr(e)) == sp.srepr(cancel_then_pythagorean(e))
+
+
+def test_sin_cos_exp_of_polynomials_never_call_cancel(monkeypatch):
+    x1, x2 = sp.symbols("x1 x2")
+    trees = [
+        x1 * sp.sin(x1 * x2 - 1) + sp.cos(x2) / x1,
+        # sring splits exp(x1 - x2) into exp(x1)*exp(-x2), a route to cancel
+        (sp.exp(x1 + x2**2) * x2 - x1) / (x1**2 * x2 - x1 * x2**2),
+    ]
+    expected = [cancel_then_pythagorean(e) for e in trees]
+
+    def no_cancel(*args, **kwargs):
+        raise AssertionError("sympy.cancel called")
+
+    monkeypatch.setattr(sp, "cancel", no_cancel)
+    _canonical.cache_clear()  # a memoized result would hide a call
+    for e, want in zip(trees, expected):
+        assert sp.srepr(simplify_expr(e)) == sp.srepr(want)
 
 
 @pytest.mark.parametrize("text", ["1/(x10 - x2) + x2/(x2*x10 - 1)", "1/(1 - x)", "y/(2 - x10*a)^3"])
